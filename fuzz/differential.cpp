@@ -157,25 +157,28 @@ DiffReport run_differential(const FuzzCase& c, const DiffOptions& opts) {
     }
   }
 
-  // --- prebuilt-plan entry point and the CSF path ----------------------
-  try {
-    const YPlan plan(c.y, c.cy);
-    {
-      const ContractResult r = contract(c.x, plan, c.cx);
-      ++rep.variants_run;
-      check_pipeline_invariants("YPlan", r, true);
-      compare("YPlan", r.z);
+  // --- prebuilt-plan entry point and the CSF path, per HtY kind --------
+  for (const bool swiss : {false, true}) {
+    const std::string suffix = swiss ? "(swiss)" : "";
+    try {
+      const YPlan plan(c.y, c.cy, /*hty_buckets=*/0, opts.num_threads, swiss);
+      {
+        const ContractResult r = contract(c.x, plan, c.cx);
+        ++rep.variants_run;
+        check_pipeline_invariants("YPlan" + suffix, r, true);
+        compare("YPlan" + suffix, r.z);
+      }
+      {
+        const ContractResult r = contract_csf(c.x, plan, c.cx);
+        ++rep.variants_run;
+        // CSF pre-merges duplicate X coordinates, so its search count is
+        // the distinct-coordinate count; only check when no dups exist.
+        check_pipeline_invariants("CSF" + suffix, r, !c.has_duplicates);
+        compare("CSF" + suffix, r.z);
+      }
+    } catch (const std::exception& e) {
+      fail("YPlan/CSF" + suffix, std::string("threw: ") + e.what());
     }
-    {
-      const ContractResult r = contract_csf(c.x, plan, c.cx);
-      ++rep.variants_run;
-      // CSF pre-merges duplicate X coordinates, so its search count is
-      // the distinct-coordinate count; only check when no dups exist.
-      check_pipeline_invariants("CSF", r, !c.has_duplicates);
-      compare("CSF", r.z);
-    }
-  } catch (const std::exception& e) {
-    fail("YPlan/CSF", std::string("threw: ") + e.what());
   }
 
   // --- SpGEMM lowering (2-D, single contract mode) ---------------------

@@ -6,7 +6,8 @@
 //   * the four ContractAlgo pipeline variants: COOY+SPA, COOY+HtA,
 //     HtY+HtA (Sparta) and the binary-search COO extension
 //   * HtY+HtA with the open-addressing linear-probe accumulator
-//   * the prebuilt-YPlan entry point and the CSF-driven path
+//   * the prebuilt-YPlan entry point and the CSF-driven path, each on a
+//     chained and a swiss-table HtY
 //   * the SpGEMM lowering (2-D operands, one contract mode; all four
 //     accumulator × sizing combinations)
 //   * the dense oracle (small index spaces only)

@@ -3,12 +3,11 @@
 #include "contraction/plan.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <memory>
 #include <mutex>
-#include <numeric>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -29,44 +28,59 @@
 
 namespace sparta {
 
+Modes free_modes(const SparseTensor& t, const Modes& modes,
+                 const char* which) {
+  SPARTA_CHECK(!modes.empty(), "need at least one contract mode");
+  std::vector<bool> is_contract(static_cast<std::size_t>(t.order()), false);
+  for (int m : modes) {
+    SPARTA_CHECK(m >= 0 && m < t.order(),
+                 std::string(which) + ": contract mode out of range");
+    SPARTA_CHECK(!is_contract[static_cast<std::size_t>(m)],
+                 std::string(which) + ": duplicate contract mode");
+    is_contract[static_cast<std::size_t>(m)] = true;
+  }
+  Modes free;
+  for (int m = 0; m < t.order(); ++m) {
+    if (!is_contract[static_cast<std::size_t>(m)]) free.push_back(m);
+  }
+  return free;
+}
+
+namespace {
+
+ModeSplit checked_split(Modes fx, Modes fy) {
+  SPARTA_CHECK(!fx.empty() || !fy.empty(),
+               "full contraction to a scalar needs at least one free mode");
+  return ModeSplit{std::move(fx), std::move(fy)};
+}
+
+}  // namespace
+
 ModeSplit validate_modes(const SparseTensor& x, const SparseTensor& y,
                          const Modes& cx, const Modes& cy) {
   SPARTA_CHECK(cx.size() == cy.size(),
                "contract mode lists must have equal arity");
-  SPARTA_CHECK(!cx.empty(), "need at least one contract mode");
-
-  auto check_list = [](const SparseTensor& t, const Modes& modes,
-                       const char* which) {
-    std::vector<bool> seen(static_cast<std::size_t>(t.order()), false);
-    for (int m : modes) {
-      SPARTA_CHECK(m >= 0 && m < t.order(),
-                   std::string(which) + ": contract mode out of range");
-      SPARTA_CHECK(!seen[static_cast<std::size_t>(m)],
-                   std::string(which) + ": duplicate contract mode");
-      seen[static_cast<std::size_t>(m)] = true;
-    }
-    return seen;
-  };
-  const auto x_contract = check_list(x, cx, "cx");
-  const auto y_contract = check_list(y, cy, "cy");
-
+  Modes fx = free_modes(x, cx, "cx");
+  Modes fy = free_modes(y, cy, "cy");
   for (std::size_t i = 0; i < cx.size(); ++i) {
     SPARTA_CHECK(x.dim(cx[i]) == y.dim(cy[i]),
                  "contract mode sizes must match (X mode " +
                      std::to_string(cx[i]) + " vs Y mode " +
                      std::to_string(cy[i]) + ")");
   }
+  return checked_split(std::move(fx), std::move(fy));
+}
 
-  ModeSplit split;
-  for (int m = 0; m < x.order(); ++m) {
-    if (!x_contract[static_cast<std::size_t>(m)]) split.fx.push_back(m);
+ModeSplit validate_plan_modes(const SparseTensor& x, const YPlan& plan,
+                              const Modes& cx) {
+  SPARTA_CHECK(cx.size() == plan.cy().size(),
+               "cx arity must match the plan's contract modes");
+  Modes fx = free_modes(x, cx, "cx");
+  for (std::size_t i = 0; i < cx.size(); ++i) {
+    SPARTA_CHECK(x.dim(cx[i]) == plan.contract_dims()[i],
+                 "contract mode sizes must match the plan");
   }
-  for (int m = 0; m < y.order(); ++m) {
-    if (!y_contract[static_cast<std::size_t>(m)]) split.fy.push_back(m);
-  }
-  SPARTA_CHECK(!split.fx.empty() || !split.fy.empty(),
-               "full contraction to a scalar needs at least one free mode");
-  return split;
+  return checked_split(std::move(fx), plan.fy());
 }
 
 namespace {
@@ -141,9 +155,11 @@ struct ZLocal {
   }
 };
 
-// Per-thread stage-time tallies for the three computation stages, plus
-// the matching hardware-counter deltas (zero/unavailable unless
-// perfctr_enabled() — see obs/perfctr.hpp).
+// Per-thread tallies for the three computation stages: wall times, the
+// matching hardware-counter deltas (zero/unavailable unless
+// perfctr_enabled() — see obs/perfctr.hpp), work counters, and the
+// accumulator's peak footprint. Each worker writes only its own entry;
+// the spawning thread reduces them after the parallel region.
 struct ThreadTimes {
   double search = 0;
   double accumulate = 0;
@@ -151,6 +167,11 @@ struct ThreadTimes {
   obs::PerfDelta search_perf;
   obs::PerfDelta accumulate_perf;
   obs::PerfDelta writeback_perf;
+  std::uint64_t searches = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t multiplies = 0;
+  std::uint64_t scanned = 0;  // Y rows touched by COO searches
+  std::size_t acc_peak_bytes = 0;
 };
 
 // Samples the calling thread's counter group around one stage segment.
@@ -186,27 +207,48 @@ class PerfScope {
   obs::PerfSample start_;
 };
 
-// Scratch describing the Y items matched by one X non-zero.
-struct CooMatch {
+// ---------------------------------------------------------------------
+// Stage ② Y-access policies: iterate sorted COO, or locate in HtY
+// ---------------------------------------------------------------------
+//
+// The two capabilities of Chou et al.'s format abstraction. A policy
+// maps one X non-zero's contract tuple to the Y items it matches, then
+// hands those items to an accumulator policy:
+//   Match find(ctuple, scanned)        — Match has empty() and size();
+//                                        `scanned` adds the Y rows the
+//                                        search touched (COO only)
+//   accumulate(match, xval, acc, fyc)  — one acc.add(...) per item
+
+// Rows [begin, end) of sorted Y whose contract columns match a tuple.
+struct RowRange {
   std::size_t begin;
   std::size_t end;
-  value_t xval;
-};
-struct HtMatch {
-  std::span<const FreeItem> items;
-  value_t xval;
+  [[nodiscard]] bool empty() const { return begin == end; }
+  [[nodiscard]] std::size_t size() const { return end - begin; }
 };
 
-// ---------------------------------------------------------------------
-// COO linear index search (Algorithm 1, stage ②)
-// ---------------------------------------------------------------------
+// End of the run of rows from `begin` whose m leading (contract) index
+// columns equal `target`.
+std::size_t run_end(const SparseTensor& y, std::size_t m,
+                    std::span<const index_t> target, std::size_t begin) {
+  const std::size_t n = y.nnz();
+  std::size_t e = begin;
+  for (; e < n; ++e) {
+    for (std::size_t k = 0; k < m; ++k) {
+      if (y.index(e, static_cast<int>(k)) != target[k]) return e;
+    }
+  }
+  return e;
+}
 
 // Scans Y's non-zeros from the start, comparing the m leading (contract)
 // index columns lexicographically, until the run matching `target` is
-// found or passed (Y is sorted, so passing means absent). Returns the
-// matching [begin, end) range. O(nnz_Y) — deliberately the baseline cost.
-std::pair<std::size_t, std::size_t> coo_linear_search(
-    const SparseTensor& y, std::size_t m, std::span<const index_t> target) {
+// found or passed (Y is sorted, so passing means absent). O(nnz_Y) —
+// deliberately the baseline cost. Adds the rows up to the run's end to
+// `scanned`.
+RowRange coo_linear_search(const SparseTensor& y, std::size_t m,
+                           std::span<const index_t> target,
+                           std::uint64_t& scanned) {
   const std::size_t n = y.nnz();
   std::size_t i = 0;
   for (; i < n; ++i) {
@@ -218,29 +260,23 @@ std::pair<std::size_t, std::size_t> coo_linear_search(
         break;
       }
     }
-    if (cmp == 0) break;    // found the start of the run
-    if (cmp > 0) return {i, i};  // passed it: absent
-  }
-  std::size_t e = i;
-  for (; e < n; ++e) {
-    bool same = true;
-    for (std::size_t k = 0; k < m; ++k) {
-      if (y.index(e, static_cast<int>(k)) != target[k]) {
-        same = false;
-        break;
-      }
+    if (cmp == 0) break;  // found the start of the run
+    if (cmp > 0) {        // passed it: absent
+      scanned += i;
+      return {i, i};
     }
-    if (!same) break;
   }
+  const std::size_t e = run_end(y, m, target, i);
+  scanned += e;
   return {i, e};
 }
 
 // O(log nnz_Y) binary search for the run matching `target` — the
 // kCooBinary extension sitting between the linear scan and the HtY
-// probe. Returns the matching [begin, end) range.
-std::pair<std::size_t, std::size_t> coo_binary_search(
-    const SparseTensor& y, std::size_t m, std::span<const index_t> target) {
-  const std::size_t n = y.nnz();
+// probe. Adds the rows it compared, plus the matched run, to `scanned`.
+RowRange coo_binary_search(const SparseTensor& y, std::size_t m,
+                           std::span<const index_t> target,
+                           std::uint64_t& scanned) {
   auto row_less_than_target = [&](std::size_t row) {
     for (std::size_t k = 0; k < m; ++k) {
       const index_t yi = y.index(row, static_cast<int>(k));
@@ -248,8 +284,9 @@ std::pair<std::size_t, std::size_t> coo_binary_search(
     }
     return false;
   };
-  std::size_t lo = 0, hi = n;
+  std::size_t lo = 0, hi = y.nnz();
   while (lo < hi) {
+    ++scanned;
     const std::size_t mid = lo + (hi - lo) / 2;
     if (row_less_than_target(mid)) {
       lo = mid + 1;
@@ -257,28 +294,135 @@ std::pair<std::size_t, std::size_t> coo_binary_search(
       hi = mid;
     }
   }
-  std::size_t e = lo;
-  for (; e < n; ++e) {
-    bool same = true;
-    for (std::size_t k = 0; k < m; ++k) {
-      if (y.index(e, static_cast<int>(k)) != target[k]) {
-        same = false;
-        break;
-      }
-    }
-    if (!same) break;
-  }
+  const std::size_t e = run_end(y, m, target, lo);
+  scanned += e - lo;
   return {lo, e};
 }
+
+// Iterate: search Y's sorted COO (linear scan, or binary with kBinary).
+// Each matched row's free indices reach the accumulator as a tuple, so
+// an HtA pays the index→LN conversion per item — exactly the cost
+// HtY's precomputed free keys avoid.
+template <bool kBinary>
+struct CooIterate {
+  const SparseTensor& y;  // [contract..., free...], sorted
+  std::size_t m;          // contract columns
+  std::size_t nfy;        // free columns
+  using Match = RowRange;
+
+  Match find(std::span<const index_t> ctuple, std::uint64_t& scanned) const {
+    return kBinary ? coo_binary_search(y, m, ctuple, scanned)
+                   : coo_linear_search(y, m, ctuple, scanned);
+  }
+
+  template <typename Acc>
+  void accumulate(Match rows, value_t xval, Acc& acc,
+                  std::span<index_t> fyc) const {
+    for (std::size_t j = rows.begin; j < rows.end; ++j) {
+      for (std::size_t k = 0; k < nfy; ++k) {
+        fyc[k] = y.index(j, static_cast<int>(m + k));
+      }
+      acc.add(std::span<const index_t>(fyc.data(), nfy), xval * y.value(j));
+    }
+  }
+};
+
+// Locate: probe HtY (GroupedHashMap or simd::SwissYMap) with the
+// tuple's LN key; each matched item carries the free LN key computed
+// when HtY was built.
+template <typename Map>
+struct HtyLocate {
+  const Map& hty;
+  const LinearIndexer& clin;
+  using Match = std::span<const FreeItem>;
+
+  Match find(std::span<const index_t> ctuple,
+             std::uint64_t& /*scanned*/) const {
+    return hty.find(clin.linearize(ctuple));
+  }
+
+  template <typename Acc>
+  void accumulate(Match items, value_t xval, Acc& acc,
+                  std::span<index_t> /*fyc*/) const {
+    for (const FreeItem& it : items) acc.add(it.free_key, xval * it.val);
+  }
+};
+
+// ---------------------------------------------------------------------
+// Stage ③ accumulator policies: HtA or SPA
+// ---------------------------------------------------------------------
+//
+// One per thread, reused across that thread's sub-tensors:
+//   begin()             — start a sub-tensor
+//   add(key|tuple, v)   — one multiply's contribution
+//   drain(fyc, emit)    — emit(fy_tuple, value) per entry (stage ④)
+//   footprint_bytes()
+
+// HtA over any LN-keyed table (HashAccumulator, LinearProbeAccumulator,
+// simd::SwissAccumulator). Located items arrive keyed; iterated items
+// arrive as tuples and are linearized here.
+template <typename Table>
+class HtaPolicy {
+ public:
+  HtaPolicy(std::size_t expected_keys, const LinearIndexer& fylin,
+            std::size_t nfy)
+      : table_(expected_keys), fylin_(&fylin), nfy_(nfy) {}
+
+  void begin() { table_.clear(); }
+  void add(lnkey_t free_key, value_t v) { table_.accumulate(free_key, v); }
+  void add(std::span<const index_t> free_tuple, value_t v) {
+    add(free_tuple.empty() ? 0 : fylin_->linearize(free_tuple), v);
+  }
+  template <typename Emit>
+  void drain(std::span<index_t> fyc, Emit&& emit) {
+    table_.drain([&](lnkey_t key, value_t v) {
+      fylin_->delinearize(key, fyc);
+      emit(std::span<const index_t>(fyc.data(), nfy_), v);
+    });
+  }
+  [[nodiscard]] std::size_t footprint_bytes() const {
+    return table_.footprint_bytes();
+  }
+
+ private:
+  Table table_;
+  const LinearIndexer* fylin_;
+  std::size_t nfy_;
+};
+
+// SPA (Algorithm 1): full free tuples compared element-wise, never
+// linearized. Each sub-tensor starts from a fresh SPA, so the baseline
+// keeps its per-sub-tensor allocation and its charged footprint is that
+// sub-tensor's alone.
+class SpaPolicy {
+ public:
+  explicit SpaPolicy(std::size_t nfy) : spa_(nfy) {}
+
+  void begin() { spa_ = SpaAccumulator(spa_.arity()); }
+  void add(std::span<const index_t> free_tuple, value_t v) {
+    spa_.accumulate(free_tuple, v);
+  }
+  template <typename Emit>
+  void drain(std::span<index_t> /*fyc*/, Emit&& emit) {
+    for (std::size_t i = 0; i < spa_.size(); ++i) {
+      emit(spa_.key(i), spa_.value(i));
+    }
+    spa_.clear();
+  }
+  [[nodiscard]] std::size_t footprint_bytes() const {
+    return spa_.footprint_bytes();
+  }
+
+ private:
+  SpaAccumulator spa_;
+};
 
 // ---------------------------------------------------------------------
 // Computation driver
 // ---------------------------------------------------------------------
 
-// Everything the three per-algorithm kernels share: the parallel loop
-// over X sub-tensors, per-thread Z_local staging, timing, and counters.
-// `Body` supplies the algorithm-specific search + accumulate + drain for
-// one sub-tensor. Signature:
+// The parallel loop over X sub-tensors with per-thread Z_local staging
+// and tallies. `Body` runs stages ②③④ on one sub-tensor. Signature:
 //   body(tid, sub_begin, sub_end, zl, times)
 template <typename Body>
 void parallel_over_subtensors(const PreparedX& px, int nthreads, bool shared,
@@ -372,7 +516,7 @@ struct ProfileInputs {
   std::size_t y_contract_bytes;  // bytes of contract columns per Y element
   std::size_t y_row_bytes;
   std::size_t z_row_bytes;
-  std::uint64_t scanned_y_elements;  // COO linear-search traffic
+  std::uint64_t scanned_y_elements;  // Y rows the COO searches touched
 };
 
 void fill_access_profile(AccessProfile& p, const ContractStats& st,
@@ -456,8 +600,6 @@ void fill_access_profile(AccessProfile& p, const ContractStats& st,
 
 namespace {
 
-// Shared implementation behind both public entry points: exactly one of
-// `y` (ad-hoc contraction) and `plan` (prebuilt HtY) is non-null.
 // Restores a registry's previous capacity on scope exit, so a budgeted
 // call cannot leave a hard cap behind on a caller-owned registry.
 struct CapacityGuard {
@@ -480,34 +622,15 @@ std::size_t pow2_buckets(std::size_t want) {
   return b;
 }
 
+// Shared implementation behind both public entry points: exactly one of
+// `y` (ad-hoc contraction) and `plan` (prebuilt HtY) is non-null.
 ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
                              const YPlan* plan, const Modes& cx,
                              const Modes& cy, const ContractOptions& opts) {
   opts.validate();
   if (opts.trace) obs::TraceRecorder::global().enable();
-  ModeSplit split;
-  if (y) {
-    split = validate_modes(x, *y, cx, cy);
-  } else {
-    SPARTA_CHECK(cx.size() == plan->cy().size(),
-                 "cx arity must match the plan's contract modes");
-    std::vector<bool> seen(static_cast<std::size_t>(x.order()), false);
-    for (std::size_t i = 0; i < cx.size(); ++i) {
-      const int mm = cx[i];
-      SPARTA_CHECK(mm >= 0 && mm < x.order(), "cx: mode out of range");
-      SPARTA_CHECK(!seen[static_cast<std::size_t>(mm)],
-                   "cx: duplicate contract mode");
-      seen[static_cast<std::size_t>(mm)] = true;
-      SPARTA_CHECK(x.dim(mm) == plan->contract_dims()[i],
-                   "contract mode sizes must match the plan");
-    }
-    for (int mm = 0; mm < x.order(); ++mm) {
-      if (!seen[static_cast<std::size_t>(mm)]) split.fx.push_back(mm);
-    }
-    split.fy = plan->fy();
-    SPARTA_CHECK(!split.fx.empty() || !split.fy.empty(),
-                 "full contraction to a scalar needs at least one free mode");
-  }
+  const ModeSplit split =
+      y ? validate_modes(x, *y, cx, cy) : validate_plan_modes(x, *plan, cx);
   const std::size_t m = cx.size();
   const std::size_t nfx = split.fx.size();
   const std::size_t nfy = split.fy.size();
@@ -517,21 +640,11 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
   // 64 bits. Reject here, before the O(nnz log nnz) input processing,
   // with a diagnostic naming the dims, instead of wrapping silently or
   // failing mid-pipeline from a LinearIndexer deep in stage ①.
-  {
-    std::vector<index_t> cdims;
-    cdims.reserve(m);
-    for (int mm : cx) cdims.push_back(x.dim(mm));
-    check_ln_space("contract-mode key space", cdims);
-    const std::vector<index_t> fydims =
-        y ? [&] {
-          std::vector<index_t> d;
-          d.reserve(nfy);
-          for (int mm : split.fy) d.push_back(y->dim(mm));
-          return d;
-        }()
-          : plan->free_dims();
-    check_ln_space("Y free-mode key space", fydims);
-  }
+  const std::vector<index_t> cdims = gather_dims(x, cx);
+  const std::vector<index_t> fydims =
+      y ? gather_dims(*y, split.fy) : plan->free_dims();
+  check_ln_space("contract-mode key space", cdims);
+  check_ln_space("Y free-mode key space", fydims);
 
   const int nthreads = opts.num_threads > 0 ? opts.num_threads : max_threads();
 
@@ -588,10 +701,7 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
 
   // Z shape: free X dims then free Y dims.
   std::vector<index_t> zdims = gather_dims(x, split.fx);
-  {
-    const auto ydims = y ? gather_dims(*y, split.fy) : plan->free_dims();
-    zdims.insert(zdims.end(), ydims.begin(), ydims.end());
-  }
+  zdims.insert(zdims.end(), fydims.begin(), fydims.end());
   const std::size_t zorder = zdims.size();
 
   if (x.empty() || res.stats.nnz_y == 0) {
@@ -622,13 +732,13 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
   ScopedCharge x_charge(reg, Tier::kDram, DataObject::kX);
   x_charge.update(px.t.footprint_bytes());
 
-  // LN linearizers for the contract tuple and Y's free tuple.
-  const LinearIndexer clin(gather_dims(x, cx));
-  LinearIndexer fylin_coo;            // COO variants build their own
-  const LinearIndexer* fylin = nullptr;
+  // LN linearizers for the contract tuple and Y's free tuple (the same
+  // as a plan's, so HtY free keys and iterated tuples share one space).
+  const LinearIndexer clin(cdims);
+  const LinearIndexer fylin(nfy > 0 ? fydims : std::vector<index_t>{1});
 
-  SparseTensor ycoo;                  // COO variants
-  std::unique_ptr<YPlan> plan_local;  // Sparta without an external plan
+  SparseTensor ycoo;                // COO variants
+  std::optional<YPlan> plan_local;  // Sparta without an external plan
   const YPlan* active_plan = plan;
   ScopedCharge y_charge(reg, Tier::kDram,
                         opts.algorithm == Algorithm::kSparta
@@ -654,12 +764,9 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
                                         ? opts.hty_buckets
                                         : res.stats.nnz_y))));
     if (!active_plan) {
-      plan_local = std::make_unique<YPlan>(*y, cy, opts.hty_buckets,
-                                           nthreads, opts.use_swiss_tables,
-                                           opts.cancel);
-      active_plan = plan_local.get();
+      active_plan = &plan_local.emplace(*y, cy, opts.hty_buckets, nthreads,
+                                        opts.use_swiss_tables, opts.cancel);
     }
-    fylin = &active_plan->fy_indexer();
     res.stats.num_y_keys = active_plan->num_keys();
     res.stats.max_y_group = active_plan->max_group();
     res.stats.hty_bytes = active_plan->hty_footprint_bytes();
@@ -671,9 +778,6 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
       obs::Span sp("sort_y");
       ycoo = prepare_y_coo(*y, cy, split.fy, opts.cancel);
     }
-    fylin_coo = LinearIndexer(nfy > 0 ? gather_dims(*y, split.fy)
-                                      : std::vector<index_t>{1});
-    fylin = &fylin_coo;
     y_charge.update(ycoo.footprint_bytes());
     // The COO variants' accumulators key on the same contract groups as
     // HtY; derive max_y_group from the sorted copy for the Eq. 6 gate.
@@ -715,11 +819,6 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
   std::vector<ZLocal> zlocals;
   std::vector<ThreadTimes> times;
   std::mutex writeback_mutex;  // shared-writeback ablation only
-  std::atomic<std::uint64_t> total_searches{0};
-  std::atomic<std::uint64_t> total_hits{0};
-  std::atomic<std::uint64_t> total_multiplies{0};
-  std::atomic<std::uint64_t> total_scanned{0};
-  std::atomic<std::uint64_t> acc_bytes{0};
 
   // Tracked per-thread accumulator charges; inert when reg is null.
   std::vector<ScopedCharge> acc_charges;
@@ -728,39 +827,41 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
     acc_charges.emplace_back(reg, Tier::kDram, DataObject::kHtA);
   }
 
-  if (opts.algorithm == Algorithm::kSparta) {
-    // Generic over both the accumulator type (chained / linear-probe /
-    // swiss) and the HtY map (chained / swiss) so every variant shares
-    // the exact same body.
-    auto run_sparta = [&]<typename AccT>(std::vector<AccT>& accs,
-                                         const auto& hty_map) {
+  // The one stage body: ② search, ③ accumulate and ④ drain to Z_local
+  // for one X sub-tensor, generic over the Y-access and accumulator
+  // policies so every variant shares the same timing, tracing, fault,
+  // cancel and counting scaffolding.
+  auto run_stages = [&]<typename YAccess, typename Acc>(const YAccess& ya,
+                                                        const Acc& proto) {
+    std::vector<Acc> accs(static_cast<std::size_t>(nthreads), proto);
     parallel_over_subtensors(
         px, nthreads, opts.ablation_shared_writeback, zlocals, times, reg,
         opts.cancel,
         [&](std::size_t tid, std::size_t b, std::size_t e, ZLocal& zl,
             ThreadTimes& tt) {
-          AccT& acc = accs[tid];
-          acc.clear();
+          Acc& acc = accs[tid];
+          acc.begin();
           std::vector<index_t> ctuple(m);
-          std::vector<HtMatch> matches;
+          std::vector<index_t> fyc(std::max<std::size_t>(nfy, 1));
+          std::vector<std::pair<typename YAccess::Match, value_t>> matches;
 
           Timer t;
           obs::Span sp_search("index_search");
           PerfScope pp_search(sp_search, tt.search_perf);
           std::uint64_t searches = 0;
           std::uint64_t hits = 0;
+          std::uint64_t scanned = 0;
           SPARTA_FAILPOINT("contract.search");
           opts.cancel.check("contract.search");
           for (std::size_t i = b; i < e; ++i) {
             for (std::size_t k = 0; k < m; ++k) {
               ctuple[k] = px.t.index(i, static_cast<int>(nfx + k));
             }
-            const lnkey_t key = clin.linearize(ctuple);
-            const auto items = hty_map.find(key);
+            const auto match = ya.find(ctuple, scanned);
             ++searches;
-            if (!items.empty()) {
+            if (!match.empty()) {
               ++hits;
-              matches.push_back(HtMatch{items, px.t.value(i)});
+              matches.emplace_back(match, px.t.value(i));
             }
           }
           pp_search.finish();
@@ -773,11 +874,9 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
           std::uint64_t mults = 0;
           SPARTA_FAILPOINT("contract.accumulate");
           opts.cancel.check("contract.accumulate");
-          for (const HtMatch& mt : matches) {
-            for (const FreeItem& it : mt.items) {
-              acc.accumulate(it.free_key, mt.xval * it.val);
-              ++mults;
-            }
+          for (const auto& [match, xval] : matches) {
+            ya.accumulate(match, xval, acc, fyc);
+            mults += match.size();
           }
           acc_charges[tid].update(acc.footprint_bytes());
           pp_acc.finish();
@@ -789,280 +888,87 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
           PerfScope pp_wb(sp_wb, tt.writeback_perf);
           SPARTA_FAILPOINT("contract.writeback");
           opts.cancel.check("contract.writeback");
-          std::vector<index_t> fyc(std::max<std::size_t>(nfy, 1));
           std::unique_lock<std::mutex> wb_lock(writeback_mutex,
                                                 std::defer_lock);
           if (opts.ablation_shared_writeback) wb_lock.lock();
-          acc.drain([&](lnkey_t fkey, value_t v) {
-            fylin->delinearize(fkey, fyc);
-            emit(zl, px.t, b, nfx,
-                 std::span<const index_t>(fyc.data(), nfy), v);
+          acc.drain(fyc, [&](std::span<const index_t> fy_tuple, value_t v) {
+            emit(zl, px.t, b, nfx, fy_tuple, v);
           });
           wb_lock = {};
           pp_wb.finish();
           sp_wb.finish();
           tt.writeback += t.seconds();
 
-          total_searches += searches;
-          total_hits += hits;
-          total_multiplies += mults;
-          acc_bytes.store(
-              std::max(acc_bytes.load(std::memory_order_relaxed),
-                       static_cast<std::uint64_t>(acc.footprint_bytes())),
-              std::memory_order_relaxed);
+          tt.searches += searches;
+          tt.hits += hits;
+          tt.multiplies += mults;
+          tt.scanned += scanned;
+          tt.acc_peak_bytes =
+              std::max(tt.acc_peak_bytes, acc.footprint_bytes());
         });
-    };
-    const std::size_t acc_hint =
-        std::max<std::size_t>(res.stats.max_y_group, 64);
-    // The plan's table kind governs HtY (an externally built plan may
-    // differ from opts); the options govern the per-thread HtA.
-    auto run_with_hty = [&](auto& accs) {
-      if (active_plan->uses_swiss()) {
-        run_sparta(accs, active_plan->swiss_hty());
-      } else {
-        run_sparta(accs, active_plan->hty());
-      }
-    };
+  };
+
+  // One runtime dispatch per call maps (algorithm, table options, the
+  // plan's HtY kind) to one instantiation; the per-item loops inside it
+  // are statically bound. Sparta sizes its HtA from HtY's largest group.
+  const std::size_t hta_hint =
+      opts.algorithm == Algorithm::kSparta
+          ? std::max<std::size_t>(res.stats.max_y_group, 64)
+          : 64;
+  auto with_hta = [&](const auto& ya) {
     if (opts.use_swiss_tables) {
-      std::vector<simd::SwissAccumulator> accs(
-          static_cast<std::size_t>(nthreads),
-          simd::SwissAccumulator(acc_hint));
-      run_with_hty(accs);
+      run_stages(ya, HtaPolicy<simd::SwissAccumulator>(hta_hint, fylin, nfy));
     } else if (opts.use_linear_probe_hta) {
-      std::vector<LinearProbeAccumulator> accs(
-          static_cast<std::size_t>(nthreads),
-          LinearProbeAccumulator(acc_hint));
-      run_with_hty(accs);
+      run_stages(ya, HtaPolicy<LinearProbeAccumulator>(hta_hint, fylin, nfy));
     } else {
-      std::vector<HashAccumulator> accs(static_cast<std::size_t>(nthreads),
-                                        HashAccumulator(acc_hint));
-      run_with_hty(accs);
+      run_stages(ya, HtaPolicy<HashAccumulator>(hta_hint, fylin, nfy));
     }
-    // Accumulator footprint: per-thread peak × thread count.
-    res.stats.hta_bytes =
-        static_cast<std::size_t>(acc_bytes.load()) *
-        static_cast<std::size_t>(nthreads);
-  } else if (opts.algorithm == Algorithm::kCooHta ||
-             opts.algorithm == Algorithm::kCooBinary) {
-    const bool binary = opts.algorithm == Algorithm::kCooBinary;
-    // Generic over the accumulator so use_swiss_tables swaps the HtA
-    // here exactly as it does on the Sparta path.
-    auto run_coo = [&]<typename AccT>(std::vector<AccT>& accs) {
-    parallel_over_subtensors(
-        px, nthreads, opts.ablation_shared_writeback, zlocals, times, reg,
-        opts.cancel,
-        [&](std::size_t tid, std::size_t b, std::size_t e, ZLocal& zl,
-            ThreadTimes& tt) {
-          AccT& acc = accs[tid];
-          acc.clear();
-          std::vector<index_t> ctuple(m);
-          std::vector<CooMatch> matches;
-
-          Timer t;
-          obs::Span sp_search("index_search");
-          PerfScope pp_search(sp_search, tt.search_perf);
-          std::uint64_t searches = 0;
-          std::uint64_t hits = 0;
-          std::uint64_t scanned = 0;
-          SPARTA_FAILPOINT("contract.search");
-          opts.cancel.check("contract.search");
-          for (std::size_t i = b; i < e; ++i) {
-            for (std::size_t k = 0; k < m; ++k) {
-              ctuple[k] = px.t.index(i, static_cast<int>(nfx + k));
-            }
-            const auto [yb, ye] = binary
-                                      ? coo_binary_search(ycoo, m, ctuple)
-                                      : coo_linear_search(ycoo, m, ctuple);
-            ++searches;
-            scanned += binary ? 64 : ye;  // elements touched by the search
-            if (yb != ye) {
-              ++hits;
-              matches.push_back(CooMatch{yb, ye, px.t.value(i)});
-            }
-          }
-          pp_search.finish();
-          sp_search.finish();
-          tt.search += t.seconds();
-
-          t.reset();
-          obs::Span sp_acc("accumulation");
-          PerfScope pp_acc(sp_acc, tt.accumulate_perf);
-          std::uint64_t mults = 0;
-          SPARTA_FAILPOINT("contract.accumulate");
-          opts.cancel.check("contract.accumulate");
-          std::vector<index_t> fyc(std::max<std::size_t>(nfy, 1));
-          for (const CooMatch& mt : matches) {
-            for (std::size_t j = mt.begin; j < mt.end; ++j) {
-              // The COO variant pays the index→LN conversion per item —
-              // exactly the cost HtY's precomputed free keys avoid.
-              for (std::size_t k = 0; k < nfy; ++k) {
-                fyc[k] = ycoo.index(j, static_cast<int>(m + k));
-              }
-              const lnkey_t fkey =
-                  nfy > 0 ? fylin->linearize(
-                                std::span<const index_t>(fyc.data(), nfy))
-                          : 0;
-              acc.accumulate(fkey, mt.xval * ycoo.value(j));
-              ++mults;
-            }
-          }
-          acc_charges[tid].update(acc.footprint_bytes());
-          pp_acc.finish();
-          sp_acc.finish();
-          tt.accumulate += t.seconds();
-
-          t.reset();
-          obs::Span sp_wb("writeback");
-          PerfScope pp_wb(sp_wb, tt.writeback_perf);
-          SPARTA_FAILPOINT("contract.writeback");
-          opts.cancel.check("contract.writeback");
-          std::unique_lock<std::mutex> wb_lock(writeback_mutex,
-                                                std::defer_lock);
-          if (opts.ablation_shared_writeback) wb_lock.lock();
-          acc.drain([&](lnkey_t fkey, value_t v) {
-            fylin->delinearize(fkey, fyc);
-            emit(zl, px.t, b, nfx,
-                 std::span<const index_t>(fyc.data(), nfy), v);
-          });
-          wb_lock = {};
-          pp_wb.finish();
-          sp_wb.finish();
-          tt.writeback += t.seconds();
-
-          total_searches += searches;
-          total_hits += hits;
-          total_multiplies += mults;
-          total_scanned += scanned;
-          acc_bytes.store(
-              std::max(acc_bytes.load(std::memory_order_relaxed),
-                       static_cast<std::uint64_t>(acc.footprint_bytes())),
-              std::memory_order_relaxed);
-        });
-    };
-    if (opts.use_swiss_tables) {
-      std::vector<simd::SwissAccumulator> accs(
-          static_cast<std::size_t>(nthreads), simd::SwissAccumulator(64));
-      run_coo(accs);
-    } else {
-      std::vector<HashAccumulator> accs(static_cast<std::size_t>(nthreads),
-                                        HashAccumulator(64));
-      run_coo(accs);
-    }
-    res.stats.hta_bytes =
-        static_cast<std::size_t>(acc_bytes.load()) *
-        static_cast<std::size_t>(nthreads);
-  } else {  // Algorithm::kSpa
-    parallel_over_subtensors(
-        px, nthreads, opts.ablation_shared_writeback, zlocals, times, reg,
-        opts.cancel,
-        [&](std::size_t tid, std::size_t b, std::size_t e, ZLocal& zl,
-            ThreadTimes& tt) {
-          SpaAccumulator spa(nfy);
-          std::vector<index_t> ctuple(m);
-          std::vector<CooMatch> matches;
-
-          Timer t;
-          obs::Span sp_search("index_search");
-          PerfScope pp_search(sp_search, tt.search_perf);
-          std::uint64_t searches = 0;
-          std::uint64_t hits = 0;
-          std::uint64_t scanned = 0;
-          SPARTA_FAILPOINT("contract.search");
-          opts.cancel.check("contract.search");
-          for (std::size_t i = b; i < e; ++i) {
-            for (std::size_t k = 0; k < m; ++k) {
-              ctuple[k] = px.t.index(i, static_cast<int>(nfx + k));
-            }
-            const auto [yb, ye] = coo_linear_search(ycoo, m, ctuple);
-            ++searches;
-            scanned += ye;
-            if (yb != ye) {
-              ++hits;
-              matches.push_back(CooMatch{yb, ye, px.t.value(i)});
-            }
-          }
-          pp_search.finish();
-          sp_search.finish();
-          tt.search += t.seconds();
-
-          t.reset();
-          obs::Span sp_acc("accumulation");
-          PerfScope pp_acc(sp_acc, tt.accumulate_perf);
-          std::uint64_t mults = 0;
-          SPARTA_FAILPOINT("contract.accumulate");
-          opts.cancel.check("contract.accumulate");
-          std::vector<index_t> fyc(std::max<std::size_t>(nfy, 1));
-          for (const CooMatch& mt : matches) {
-            for (std::size_t j = mt.begin; j < mt.end; ++j) {
-              for (std::size_t k = 0; k < nfy; ++k) {
-                fyc[k] = ycoo.index(j, static_cast<int>(m + k));
-              }
-              spa.accumulate(std::span<const index_t>(fyc.data(), nfy),
-                             mt.xval * ycoo.value(j));
-              ++mults;
-            }
-          }
-          acc_charges[tid].update(spa.footprint_bytes());
-          pp_acc.finish();
-          sp_acc.finish();
-          tt.accumulate += t.seconds();
-
-          t.reset();
-          obs::Span sp_wb("writeback");
-          PerfScope pp_wb(sp_wb, tt.writeback_perf);
-          SPARTA_FAILPOINT("contract.writeback");
-          opts.cancel.check("contract.writeback");
-          std::unique_lock<std::mutex> wb_lock(writeback_mutex,
-                                                std::defer_lock);
-          if (opts.ablation_shared_writeback) wb_lock.lock();
-          for (std::size_t i = 0; i < spa.size(); ++i) {
-            emit(zl, px.t, b, nfx, spa.key(i), spa.value(i));
-          }
-          wb_lock = {};
-          spa.clear();
-          pp_wb.finish();
-          sp_wb.finish();
-          tt.writeback += t.seconds();
-
-          total_searches += searches;
-          total_hits += hits;
-          total_multiplies += mults;
-          total_scanned += scanned;
-          acc_bytes.store(
-              std::max(acc_bytes.load(std::memory_order_relaxed),
-                       static_cast<std::uint64_t>(spa.footprint_bytes())),
-              std::memory_order_relaxed);
-        });
-    res.stats.hta_bytes =
-        static_cast<std::size_t>(acc_bytes.load()) *
-        static_cast<std::size_t>(nthreads);
+  };
+  switch (opts.algorithm) {
+    case Algorithm::kSparta:
+      // The plan's table kind governs HtY (an externally built plan may
+      // differ from opts); the options govern the per-thread HtA.
+      active_plan->visit_hty([&]<typename Map>(const Map& hty) {
+        with_hta(HtyLocate<Map>{hty, clin});
+      });
+      break;
+    case Algorithm::kCooHta:
+      with_hta(CooIterate<false>{ycoo, m, nfy});
+      break;
+    case Algorithm::kCooBinary:
+      with_hta(CooIterate<true>{ycoo, m, nfy});
+      break;
+    case Algorithm::kSpa:
+      run_stages(CooIterate<false>{ycoo, m, nfy}, SpaPolicy(nfy));
+      break;
   }
 
-  res.stats.searches = total_searches.load();
-  res.stats.hits = total_hits.load();
-  res.stats.multiplies = total_multiplies.load();
-
-  // Average per-thread stage time — equals wall time when threads are
-  // balanced, and matches the paper's per-stage presentation.
-  {
-    double s = 0, a = 0, w = 0;
-    for (const ThreadTimes& tt : times) {
-      s += tt.search;
-      a += tt.accumulate;
-      w += tt.writeback;
-    }
-    const auto nt = static_cast<double>(nthreads);
-    res.stage_times[Stage::kIndexSearch] = s / nt;
-    res.stage_times[Stage::kAccumulation] = a / nt;
-    res.stage_times[Stage::kWriteback] = w / nt;
-    // Hardware counters sum across threads (a cycle spent on any core is
-    // a cycle of work) — no averaging, unlike the wall times above.
-    for (const ThreadTimes& tt : times) {
-      res.stats.perf.at(Stage::kIndexSearch) += tt.search_perf;
-      res.stats.perf.at(Stage::kAccumulation) += tt.accumulate_perf;
-      res.stats.perf.at(Stage::kWriteback) += tt.writeback_perf;
-    }
+  // Reduce the per-thread tallies. Stage wall times are averaged — equal
+  // to wall time when threads are balanced, and the paper's per-stage
+  // presentation. Hardware and work counters sum (a cycle spent on any
+  // core is a cycle of work). The accumulator footprint is the
+  // per-thread peak × thread count.
+  double search_s = 0, accumulate_s = 0, writeback_s = 0;
+  std::uint64_t total_scanned = 0;
+  std::size_t acc_peak_bytes = 0;
+  for (const ThreadTimes& tt : times) {
+    search_s += tt.search;
+    accumulate_s += tt.accumulate;
+    writeback_s += tt.writeback;
+    res.stats.perf.at(Stage::kIndexSearch) += tt.search_perf;
+    res.stats.perf.at(Stage::kAccumulation) += tt.accumulate_perf;
+    res.stats.perf.at(Stage::kWriteback) += tt.writeback_perf;
+    res.stats.searches += tt.searches;
+    res.stats.hits += tt.hits;
+    res.stats.multiplies += tt.multiplies;
+    total_scanned += tt.scanned;
+    acc_peak_bytes = std::max(acc_peak_bytes, tt.acc_peak_bytes);
   }
+  const auto nt = static_cast<double>(nthreads);
+  res.stage_times[Stage::kIndexSearch] = search_s / nt;
+  res.stage_times[Stage::kAccumulation] = accumulate_s / nt;
+  res.stage_times[Stage::kWriteback] = writeback_s / nt;
+  res.stats.hta_bytes = acc_peak_bytes * static_cast<std::size_t>(nthreads);
 
   // ------------------------------------------------------------------
   // ④ (continued) Gather thread-local Z_local buffers into Z
@@ -1150,7 +1056,7 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
         y ? static_cast<std::size_t>(y->order()) : plan->y_dims().size();
     in.y_row_bytes = y_order * sizeof(index_t) + sizeof(value_t);
     in.z_row_bytes = zorder * sizeof(index_t) + sizeof(value_t);
-    in.scanned_y_elements = total_scanned.load();
+    in.scanned_y_elements = total_scanned;
     fill_access_profile(res.profile, res.stats, in);
 
     res.profile.set_footprint(DataObject::kX, px.t.footprint_bytes());

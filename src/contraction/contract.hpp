@@ -60,4 +60,17 @@ struct ModeSplit {
                                        const SparseTensor& y, const Modes& cx,
                                        const Modes& cy);
 
+/// validate_modes for a contraction against a prebuilt plan: checks cx
+/// against X and the plan's contract modes; fy is the plan's.
+class YPlan;  // plan.hpp
+[[nodiscard]] ModeSplit validate_plan_modes(const SparseTensor& x,
+                                            const YPlan& plan,
+                                            const Modes& cx);
+
+/// Checks `modes` as a contract-mode list of `t` — non-empty, in range,
+/// no duplicates; `which` ("cx"/"cy") prefixes the diagnostics — and
+/// returns t's remaining free modes, ascending.
+[[nodiscard]] Modes free_modes(const SparseTensor& t, const Modes& modes,
+                               const char* which);
+
 }  // namespace sparta

@@ -1,7 +1,6 @@
 #include "contraction/contract_csf.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <span>
 #include <vector>
@@ -73,27 +72,9 @@ void walk_contract(const CsfTensor& csf, std::size_t num_free,
 
 ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
                             const Modes& cx, const ContractOptions& opts) {
-  // --- validation (as in the plan-based contract path) ----------------
   opts.validate();
   if (opts.trace) obs::TraceRecorder::global().enable();
-  SPARTA_CHECK(cx.size() == plan.cy().size(),
-               "cx arity must match the plan's contract modes");
-  std::vector<bool> is_contract(static_cast<std::size_t>(x.order()), false);
-  for (std::size_t i = 0; i < cx.size(); ++i) {
-    const int m = cx[i];
-    SPARTA_CHECK(m >= 0 && m < x.order(), "cx: mode out of range");
-    SPARTA_CHECK(!is_contract[static_cast<std::size_t>(m)],
-                 "cx: duplicate contract mode");
-    is_contract[static_cast<std::size_t>(m)] = true;
-    SPARTA_CHECK(x.dim(m) == plan.contract_dims()[i],
-                 "contract mode sizes must match the plan");
-  }
-  Modes fx;
-  for (int m = 0; m < x.order(); ++m) {
-    if (!is_contract[static_cast<std::size_t>(m)]) fx.push_back(m);
-  }
-  SPARTA_CHECK(!fx.empty() || !plan.fy().empty(),
-               "full contraction to a scalar needs at least one free mode");
+  const Modes fx = validate_plan_modes(x, plan, cx).fx;
   const std::size_t nfx = fx.size();
   const std::size_t nfy = plan.fy().size();
   const std::size_t m = cx.size();
@@ -159,10 +140,13 @@ ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
     std::vector<value_t> vals;
   };
   std::vector<ZLocal> zlocals(static_cast<std::size_t>(nthreads));
-  std::atomic<std::uint64_t> total_searches{0};
-  std::atomic<std::uint64_t> total_hits{0};
-  std::atomic<std::uint64_t> total_multiplies{0};
-  std::atomic<std::uint64_t> acc_bytes{0};
+  // Per-thread work counters and accumulator peak, each written once by
+  // its own thread and reduced after the parallel region.
+  struct Tally {
+    std::uint64_t searches = 0, hits = 0, mults = 0;
+    std::size_t acc_peak_bytes = 0;
+  };
+  std::vector<Tally> tallies(static_cast<std::size_t>(nthreads));
 
   struct Match {
     std::span<const FreeItem> items;
@@ -177,89 +161,90 @@ ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
   // Pooled team threads must carry the spawning thread's request id
   // (stale thread-locals would mis-attribute cancel/fault instants).
   const obs::Correlation ambient = obs::current_correlation();
+  // One visit per call binds the plan's HtY kind; the probes inside are
+  // statically dispatched.
+  plan.visit_hty([&](const auto& hty) {
 #pragma omp parallel num_threads(nthreads)
-  {
-    obs::RequestIdScope rid_scope(ambient);
-    const auto tid = static_cast<std::size_t>(thread_id());
-    // Built under the guard: every thread must still reach the `omp for`
-    // below even if an accumulator constructor throws.
-    std::unique_ptr<HashAccumulator> acc;
-    std::vector<Match> matches;
-    std::vector<index_t> fyc;
-    compute_ec.run([&] {
-      acc = std::make_unique<HashAccumulator>(
-          std::max<std::size_t>(plan.max_group(), 64));
-      fyc.resize(std::max<std::size_t>(nfy, 1));
-    });
-    std::uint64_t searches = 0, hits = 0, mults = 0;
+    {
+      obs::RequestIdScope rid_scope(ambient);
+      const auto tid = static_cast<std::size_t>(thread_id());
+      // Built under the guard: every thread must still reach the `omp
+      // for` below even if an accumulator constructor throws.
+      std::unique_ptr<HashAccumulator> acc;
+      std::vector<Match> matches;
+      std::vector<index_t> fyc;
+      compute_ec.run([&] {
+        acc = std::make_unique<HashAccumulator>(
+            std::max<std::size_t>(plan.max_group(), 64));
+        fyc.resize(std::max<std::size_t>(nfy, 1));
+      });
+      std::uint64_t searches = 0, hits = 0, mults = 0;
 
 #pragma omp for schedule(dynamic, 16)
-    for (std::ptrdiff_t s = 0; s < static_cast<std::ptrdiff_t>(subs.size());
-         ++s) {
-      compute_ec.run([&] {
-      const CsfSubtensor& sub = subs[static_cast<std::size_t>(s)];
-      acc->clear();
-      matches.clear();
+      for (std::ptrdiff_t s = 0;
+           s < static_cast<std::ptrdiff_t>(subs.size()); ++s) {
+        compute_ec.run([&] {
+          const CsfSubtensor& sub = subs[static_cast<std::size_t>(s)];
+          acc->clear();
+          matches.clear();
 
-      // ② index search: walk the contract subtree; the partial LN key is
-      // computed once per internal fiber, not once per leaf.
-      std::size_t begin = 0;
-      std::size_t end = 0;
-      if (nfx == 0) {
-        begin = 0;
-        end = csf.level_size(0);
-      } else {
-        const auto ptr = csf.level_ptr(static_cast<int>(nfx) - 1);
-        begin = ptr[sub.node];
-        end = ptr[sub.node + 1];
+          // ② index search: walk the contract subtree; the partial LN
+          // key is computed once per internal fiber, not once per leaf.
+          std::size_t begin = 0;
+          std::size_t end = 0;
+          if (nfx == 0) {
+            begin = 0;
+            end = csf.level_size(0);
+          } else {
+            const auto ptr = csf.level_ptr(static_cast<int>(nfx) - 1);
+            begin = ptr[sub.node];
+            end = ptr[sub.node + 1];
+          }
+          walk_contract(csf, nfx, strides, nfx, begin, end, 0,
+                        [&](lnkey_t key, value_t xval) {
+                          ++searches;
+                          const auto items = hty.find(key);
+                          if (!items.empty()) {
+                            ++hits;
+                            matches.push_back(Match{items, xval});
+                          }
+                        });
+
+          // ③ accumulation.
+          for (const Match& mt : matches) {
+            for (const FreeItem& it : mt.items) {
+              acc->accumulate(it.free_key, mt.xval * it.val);
+              ++mults;
+            }
+          }
+
+          // ④ writeback into the thread-local buffer.
+          ZLocal& zl = zlocals[tid];
+          acc->drain([&](lnkey_t fkey, value_t v) {
+            plan.fy_indexer().delinearize(fkey, fyc);
+            zl.coords.insert(zl.coords.end(), sub.free_coords.begin(),
+                             sub.free_coords.end());
+            zl.coords.insert(
+                zl.coords.end(), fyc.begin(),
+                fyc.begin() + static_cast<std::ptrdiff_t>(nfy));
+            zl.vals.push_back(v);
+          });
+        });
       }
-      walk_contract(csf, nfx, strides, nfx, begin, end, 0,
-                    [&](lnkey_t key, value_t xval) {
-                      ++searches;
-                      const auto items = plan.hty().find(key);
-                      if (!items.empty()) {
-                        ++hits;
-                        matches.push_back(Match{items, xval});
-                      }
-                    });
 
-      // ③ accumulation.
-      for (const Match& mt : matches) {
-        for (const FreeItem& it : mt.items) {
-          acc->accumulate(it.free_key, mt.xval * it.val);
-          ++mults;
-        }
-      }
-
-      // ④ writeback into the thread-local buffer.
-      ZLocal& zl = zlocals[tid];
-      acc->drain([&](lnkey_t fkey, value_t v) {
-        plan.fy_indexer().delinearize(fkey, fyc);
-        zl.coords.insert(zl.coords.end(), sub.free_coords.begin(),
-                         sub.free_coords.end());
-        zl.coords.insert(zl.coords.end(), fyc.begin(),
-                         fyc.begin() + static_cast<std::ptrdiff_t>(nfy));
-        zl.vals.push_back(v);
-      });
-      });
+      tallies[tid] = Tally{searches, hits, mults,
+                           acc ? acc->footprint_bytes() : 0};
     }
-
-    total_searches += searches;
-    total_hits += hits;
-    total_multiplies += mults;
-    if (acc) {
-      acc_bytes.store(
-          std::max(acc_bytes.load(std::memory_order_relaxed),
-                   static_cast<std::uint64_t>(acc->footprint_bytes())),
-          std::memory_order_relaxed);
-    }
-  }
+  });
   compute_ec.rethrow();
-  res.stats.searches = total_searches.load();
-  res.stats.hits = total_hits.load();
-  res.stats.multiplies = total_multiplies.load();
-  res.stats.hta_bytes = static_cast<std::size_t>(acc_bytes.load()) *
-                        static_cast<std::size_t>(nthreads);
+  std::size_t acc_peak_bytes = 0;
+  for (const Tally& t : tallies) {
+    res.stats.searches += t.searches;
+    res.stats.hits += t.hits;
+    res.stats.multiplies += t.mults;
+    acc_peak_bytes = std::max(acc_peak_bytes, t.acc_peak_bytes);
+  }
+  res.stats.hta_bytes = acc_peak_bytes * static_cast<std::size_t>(nthreads);
   sp_compute.finish();
   // The walk interleaves search and accumulation per sub-tensor; report
   // the combined computation under index search + accumulation halves.

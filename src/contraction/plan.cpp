@@ -11,39 +11,36 @@
 
 namespace sparta {
 
-YPlan::YPlan(const SparseTensor& y, Modes cy, std::size_t hty_buckets,
-             int num_threads, bool use_swiss_tables, CancelToken cancel) {
-  // Validate cy against y.
-  std::vector<bool> is_contract(static_cast<std::size_t>(y.order()), false);
-  for (int m : cy) {
-    SPARTA_CHECK(m >= 0 && m < y.order(), "cy: contract mode out of range");
-    SPARTA_CHECK(!is_contract[static_cast<std::size_t>(m)],
-                 "cy: duplicate contract mode");
-    is_contract[static_cast<std::size_t>(m)] = true;
-  }
-  SPARTA_CHECK(!cy.empty(), "need at least one contract mode");
+namespace {
 
-  cy_ = std::move(cy);
-  ydims_ = y.dims();
-  for (int m = 0; m < y.order(); ++m) {
-    if (!is_contract[static_cast<std::size_t>(m)]) {
-      fy_.push_back(m);
-      fydims_.push_back(y.dim(m));
-    }
+using HtY = std::variant<GroupedHashMap, simd::SwissYMap>;
+
+// Neither table is movable (both hold locks), so the variant is built
+// in place and handed out as a prvalue.
+HtY make_hty(bool use_swiss_tables, std::size_t expected_keys) {
+  if (use_swiss_tables) {
+    return HtY(std::in_place_type<simd::SwissYMap>, expected_keys);
   }
+  return HtY(std::in_place_type<GroupedHashMap>, expected_keys);
+}
+
+}  // namespace
+
+YPlan::YPlan(const SparseTensor& y, Modes cy, std::size_t hty_buckets,
+             int num_threads, bool use_swiss_tables, CancelToken cancel)
+    : cy_(std::move(cy)),
+      fy_(free_modes(y, cy_, "cy")),
+      ydims_(y.dims()),
+      hty_(make_hty(use_swiss_tables,
+                    hty_buckets > 0 ? hty_buckets
+                                    : std::max<std::size_t>(y.nnz(), 16))) {
+  for (int m : fy_) fydims_.push_back(y.dim(m));
   for (int m : cy_) cdims_.push_back(y.dim(m));
 
   const LinearIndexer clin(cdims_);
   fylin_ = LinearIndexer(fydims_.empty() ? std::vector<index_t>{1}
                                          : fydims_);
 
-  const std::size_t want =
-      hty_buckets > 0 ? hty_buckets : std::max<std::size_t>(y.nnz(), 16);
-  if (use_swiss_tables) {
-    swiss_ = std::make_unique<simd::SwissYMap>(want);
-  } else {
-    hty_ = std::make_unique<GroupedHashMap>(want);
-  }
   nnz_y_ = y.nnz();
   y_footprint_ = y.footprint_bytes();
 
@@ -87,11 +84,7 @@ YPlan::YPlan(const SparseTensor& y, Modes cy, std::size_t hty_buckets,
     ec.rethrow();
     max_group_ = table.max_group_size();
   };
-  if (swiss_) {
-    build_into(*swiss_);
-  } else {
-    build_into(*hty_);
-  }
+  std::visit(build_into, hty_);
 }
 
 std::vector<ContractResult> contract_batch(

@@ -14,7 +14,7 @@
 // one-shot YPlan internally, so both paths share one implementation.
 #pragma once
 
-#include <memory>
+#include <variant>
 
 #include "contraction/options.hpp"
 #include "hashtable/grouped_map.hpp"
@@ -32,6 +32,8 @@ class YPlan {
   /// `use_swiss_tables` picks the SIMD-probed swiss HtY over the
   /// chained GroupedHashMap; the plan's table kind then governs HtY for
   /// every contraction using it, regardless of the caller's options.
+  /// Both tables lock during the build, so a plan is neither copied nor
+  /// moved: construct it in place (std::optional::emplace, make_shared).
   /// `cancel` is polled along the parallel insert loop (every 256
   /// inserts per thread); Cancelled unwinds before the plan object
   /// exists, so no half-built HtY can escape.
@@ -41,8 +43,6 @@ class YPlan {
 
   YPlan(const YPlan&) = delete;
   YPlan& operator=(const YPlan&) = delete;
-  YPlan(YPlan&&) = default;
-  YPlan& operator=(YPlan&&) = default;
 
   [[nodiscard]] const Modes& cy() const { return cy_; }
   [[nodiscard]] const Modes& fy() const { return fy_; }
@@ -57,22 +57,27 @@ class YPlan {
     return fydims_;
   }
 
+  /// Calls f(table) with the HtY this plan holds — a GroupedHashMap or
+  /// a simd::SwissYMap, both exposing find(key) -> span<const FreeItem>
+  /// — and returns its result. The one way to reach the table: a
+  /// generic `f` is instantiated once per table kind.
+  template <typename F>
+  decltype(auto) visit_hty(F&& f) const {
+    return std::visit(std::forward<F>(f), hty_);
+  }
+
   [[nodiscard]] std::size_t nnz_y() const { return nnz_y_; }
   [[nodiscard]] std::size_t num_keys() const {
-    return swiss_ ? swiss_->num_keys() : hty_->num_keys();
+    return visit_hty([](const auto& t) { return t.num_keys(); });
   }
   [[nodiscard]] std::size_t max_group() const { return max_group_; }
   [[nodiscard]] std::size_t hty_footprint_bytes() const {
-    return swiss_ ? swiss_->footprint_bytes() : hty_->footprint_bytes();
+    return visit_hty([](const auto& t) { return t.footprint_bytes(); });
   }
   [[nodiscard]] std::size_t y_footprint_bytes() const {
     return y_footprint_;
   }
 
-  /// Which HtY representation this plan holds.
-  [[nodiscard]] bool uses_swiss() const { return swiss_ != nullptr; }
-  [[nodiscard]] const GroupedHashMap& hty() const { return *hty_; }
-  [[nodiscard]] const simd::SwissYMap& swiss_hty() const { return *swiss_; }
   /// Linearizer for Y's free-index tuples (HtA keys).
   [[nodiscard]] const LinearIndexer& fy_indexer() const { return fylin_; }
 
@@ -83,8 +88,7 @@ class YPlan {
   std::vector<index_t> cdims_;
   std::vector<index_t> fydims_;
   LinearIndexer fylin_;
-  std::unique_ptr<GroupedHashMap> hty_;    ///< exactly one of these
-  std::unique_ptr<simd::SwissYMap> swiss_; ///< two is populated
+  std::variant<GroupedHashMap, simd::SwissYMap> hty_;
   std::size_t nnz_y_ = 0;
   std::size_t max_group_ = 0;
   std::size_t y_footprint_ = 0;

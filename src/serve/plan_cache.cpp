@@ -92,9 +92,9 @@ PlanLease PlanCache::acquire(std::uint64_t y_id, const SparseTensor& y,
 
   std::shared_ptr<Cached> built;
   try {
-    built = std::make_shared<Cached>(YPlan(y, cy, cfg_.hty_buckets,
-                                           /*num_threads=*/0,
-                                           cfg_.use_swiss_tables, cancel));
+    built = std::make_shared<Cached>(y, cy, cfg_.hty_buckets,
+                                     /*num_threads=*/0,
+                                     cfg_.use_swiss_tables, cancel);
   } catch (const Cancelled&) {
     fail_build(build, key, /*cancelled=*/true);
     throw;

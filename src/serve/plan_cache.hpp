@@ -27,6 +27,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "contraction/plan.hpp"
 #include "memsim/allocator.hpp"
@@ -120,7 +121,9 @@ class PlanCache {
     YPlan plan;
     ScopedCharge charge;
 
-    explicit Cached(YPlan p) : plan(std::move(p)) {}
+    // Forwards to YPlan's constructor: a plan is built in place.
+    template <typename... Args>
+    explicit Cached(Args&&... args) : plan(std::forward<Args>(args)...) {}
   };
 
   struct Key {

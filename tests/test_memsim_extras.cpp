@@ -90,6 +90,33 @@ TEST(Timeline, PmmOnlyHasZeroDramBandwidth) {
 
 // --- cost model properties --------------------------------------------
 
+// kCooBinary is charged the Y rows its binary search compares plus the
+// matched run, so on a small Y it never models more stage-② Y traffic
+// than the linear scan that walks up to every run it finds.
+TEST(CostModelProperties, BinarySearchChargesRowsItCompares) {
+  SparseTensor y({8, 5});  // 8 non-zeros, one per contract index
+  for (index_t k = 0; k < 8; ++k) {
+    y.append(std::vector<index_t>{k, k % 5}, 1.0 + static_cast<double>(k));
+  }
+  SparseTensor x({3, 8});  // every X row probes every contract index
+  for (index_t i = 0; i < 3; ++i) {
+    for (index_t k = 0; k < 8; ++k) {
+      x.append(std::vector<index_t>{i, k}, 0.5 + static_cast<double>(i));
+    }
+  }
+  auto search_y_bytes = [&](Algorithm alg) {
+    ContractOptions o;
+    o.algorithm = alg;
+    o.collect_access_profile = true;
+    const ContractResult r = contract(x, y, {1}, {0}, o);
+    return r.profile.at(Stage::kIndexSearch, DataObject::kY).bytes_read_seq;
+  };
+  const std::uint64_t binary = search_y_bytes(Algorithm::kCooBinary);
+  const std::uint64_t linear = search_y_bytes(Algorithm::kCooHta);
+  EXPECT_GT(binary, 0u);
+  EXPECT_LE(binary, linear);
+}
+
 TEST(CostModelProperties, MoreDramCapacityNeverHurtsSparta) {
   PairedSpec ps;
   ps.x.dims = {30, 25, 20};
