@@ -1,6 +1,9 @@
 #include "fuzz/differential.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <exception>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -46,6 +49,51 @@ std::string shape_note(const SparseTensor& z, const SparseTensor& ref) {
   std::ostringstream os;
   os << " (got " << z.summary() << ", oracle " << ref.summary() << ")";
   return os.str();
+}
+
+// Bitwise tensor equality: dims, every index column, and exact (not
+// tolerance-scaled) value compare. On mismatch returns a description of
+// the first differing position; empty string means identical.
+std::string bitwise_diff(const SparseTensor& a, const SparseTensor& b) {
+  if (a.dims() != b.dims()) {
+    return "shapes differ (" + a.summary() + " vs " + b.summary() + ")";
+  }
+  if (a.nnz() != b.nnz()) {
+    return "nnz differs (" + std::to_string(a.nnz()) + " vs " +
+           std::to_string(b.nnz()) + ")";
+  }
+  for (std::size_t n = 0; n < a.nnz(); ++n) {
+    for (int m = 0; m < a.order(); ++m) {
+      if (a.index(n, m) != b.index(n, m)) {
+        return "index [" + std::to_string(n) + "][" + std::to_string(m) +
+               "] differs (" + std::to_string(a.index(n, m)) + " vs " +
+               std::to_string(b.index(n, m)) + ")";
+      }
+    }
+    if (a.value(n) != b.value(n)) {
+      return "value [" + std::to_string(n) + "] differs (" +
+             std::to_string(a.value(n)) + " vs " +
+             std::to_string(b.value(n)) + ")";
+    }
+  }
+  return {};
+}
+
+// A plan's HtY flattened in for_each_group order: key, group size, then
+// each item's free key and value bits.
+std::vector<std::uint64_t> hty_groups(const YPlan& plan) {
+  std::vector<std::uint64_t> out;
+  plan.visit_hty([&](const auto& t) {
+    t.for_each_group([&](lnkey_t key, std::span<const FreeItem> items) {
+      out.push_back(key);
+      out.push_back(items.size());
+      for (const FreeItem& it : items) {
+        out.push_back(it.free_key);
+        out.push_back(std::bit_cast<std::uint64_t>(it.val));
+      }
+    });
+  });
+  return out;
 }
 
 }  // namespace
@@ -158,15 +206,30 @@ DiffReport run_differential(const FuzzCase& c, const DiffOptions& opts) {
   }
 
   // --- prebuilt-plan entry point and the CSF path, per HtY kind --------
+  // Each kind is built at 1 and at 4 threads: the bulk build's groups
+  // (content and visit order) and the contraction through them must not
+  // depend on the build's thread count.
   for (const bool swiss : {false, true}) {
     const std::string suffix = swiss ? "(swiss)" : "";
     try {
-      const YPlan plan(c.y, c.cy, /*hty_buckets=*/0, opts.num_threads, swiss);
+      const YPlan plan(c.y, c.cy, /*hty_buckets=*/0, /*num_threads=*/1,
+                       swiss);
+      const YPlan plan4(c.y, c.cy, /*hty_buckets=*/0, /*num_threads=*/4,
+                        swiss);
+      if (hty_groups(plan) != hty_groups(plan4)) {
+        fail("YPlan" + suffix, "1- and 4-thread builds hold different groups");
+      }
       {
         const ContractResult r = contract(c.x, plan, c.cx);
         ++rep.variants_run;
         check_pipeline_invariants("YPlan" + suffix, r, true);
         compare("YPlan" + suffix, r.z);
+        const std::string diff =
+            bitwise_diff(r.z, contract(c.x, plan4, c.cx).z);
+        if (!diff.empty()) {
+          fail("YPlan" + suffix,
+               "output through the 4-thread build differs: " + diff);
+        }
       }
       {
         const ContractResult r = contract_csf(c.x, plan, c.cx);
@@ -270,38 +333,6 @@ DiffReport run_differential(const FuzzCase& c, const DiffOptions& opts) {
   return rep;
 }
 
-namespace {
-
-// Bitwise tensor equality: dims, every index column, and exact (not
-// tolerance-scaled) value compare. On mismatch returns a description of
-// the first differing position; empty string means identical.
-std::string bitwise_diff(const SparseTensor& a, const SparseTensor& b) {
-  if (a.dims() != b.dims()) {
-    return "shapes differ (" + a.summary() + " vs " + b.summary() + ")";
-  }
-  if (a.nnz() != b.nnz()) {
-    return "nnz differs (" + std::to_string(a.nnz()) + " vs " +
-           std::to_string(b.nnz()) + ")";
-  }
-  for (std::size_t n = 0; n < a.nnz(); ++n) {
-    for (int m = 0; m < a.order(); ++m) {
-      if (a.index(n, m) != b.index(n, m)) {
-        return "index [" + std::to_string(n) + "][" + std::to_string(m) +
-               "] differs (" + std::to_string(a.index(n, m)) + " vs " +
-               std::to_string(b.index(n, m)) + ")";
-      }
-    }
-    if (a.value(n) != b.value(n)) {
-      return "value [" + std::to_string(n) + "] differs (" +
-             std::to_string(a.value(n)) + " vs " +
-             std::to_string(b.value(n)) + ")";
-    }
-  }
-  return {};
-}
-
-}  // namespace
-
 DiffReport run_isa_differential(const FuzzCase& c) {
   DiffReport rep;
   auto fail = [&rep](std::string variant, std::string what) {
@@ -309,10 +340,11 @@ DiffReport run_isa_differential(const FuzzCase& c) {
   };
 
   // Every algorithm path × table choice, replayed scalar-vs-native with
-  // a BITWISE compare. Single-threaded: with >1 thread the parallel HtY
-  // build interleaves items nondeterministically, so floating-point sum
-  // order varies run to run regardless of ISA — the ISA invariant is
-  // only defined where the engine itself is deterministic.
+  // a BITWISE compare. Single-threaded, so the ISA is the only variable:
+  // the HtY build is thread-count independent (run_differential checks
+  // that), but the dynamic sub-tensor schedule still decides the order
+  // in which equal output coordinates from duplicate inputs reach the
+  // stage-⑤ sort.
   struct Cell {
     Algorithm algorithm;
     bool swiss;

@@ -7,7 +7,8 @@
 //     HtY+HtA (Sparta) and the binary-search COO extension
 //   * HtY+HtA with the open-addressing linear-probe accumulator
 //   * the prebuilt-YPlan entry point and the CSF-driven path, each on a
-//     chained and a swiss-table HtY
+//     chained and a swiss-table HtY, with the plan built at 1 and at 4
+//     threads (groups and outputs must be identical)
 //   * the SpGEMM lowering (2-D operands, one contract mode; all four
 //     accumulator × sizing combinations)
 //   * the dense oracle (small index spaces only)
@@ -54,8 +55,7 @@ struct DiffReport {
 /// every (algorithm × table choice) cell twice — SPARTA_SIMD forced to
 /// scalar, then to this machine's native tier — and demands BITWISE
 /// identical outputs (exact value compare, not tolerance). Runs
-/// single-threaded: parallel HtY builds make floating-point sum order
-/// nondeterministic independent of ISA.
+/// single-threaded so the ISA is the only variable.
 [[nodiscard]] DiffReport run_isa_differential(const FuzzCase& c);
 
 struct FaultOptions {

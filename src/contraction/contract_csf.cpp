@@ -163,6 +163,8 @@ ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
   const obs::Correlation ambient = obs::current_correlation();
   // One visit per call binds the plan's HtY kind; the probes inside are
   // statically dispatched.
+  const std::ptrdiff_t chunk =
+      subtensor_chunk(static_cast<std::ptrdiff_t>(subs.size()), nthreads);
   plan.visit_hty([&](const auto& hty) {
 #pragma omp parallel num_threads(nthreads)
     {
@@ -180,7 +182,7 @@ ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
       });
       std::uint64_t searches = 0, hits = 0, mults = 0;
 
-#pragma omp for schedule(dynamic, 16)
+#pragma omp for schedule(dynamic, chunk)
       for (std::ptrdiff_t s = 0;
            s < static_cast<std::ptrdiff_t>(subs.size()); ++s) {
         compute_ec.run([&] {

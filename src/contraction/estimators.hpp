@@ -26,18 +26,30 @@ namespace sparta {
 inline constexpr double kEstimatorAccuracyFactor = 4.0;
 
 /// Struct-size constants the estimators plug into the paper's formulas.
-/// Matched to GroupedHashMap / HashAccumulator's actual layout.
+/// The defaults are Eq. 6's, matched to HashAccumulator's chained
+/// layout.
 struct EstimatorSizes {
   std::size_t entry_pointer = 16;           ///< Size_ep: chain/bucket slot
   std::size_t index = sizeof(index_t);      ///< Size_idx
   std::size_t value = sizeof(value_t);      ///< Size_val
 };
 
+/// Eq. 5's constants for the flat HtY layouts (GroupedHashMap,
+/// simd::SwissYMap). A bucket costs a 4-byte CSR offset (chained) or
+/// about half a 17-byte swiss slot (ctrl byte + {key, begin, count};
+/// swiss sizes for distinct keys at ≤ 7/8 load, about 2 slots per key
+/// against Eq. 5's ≈ nnz buckets), so Size_ep = 8 per bucket. Per item,
+/// Size_idx·N_Y + Size_val stands in for the 16-byte FreeItem, and
+/// Size_ep for the item's share of its key's 16-byte {key, begin,
+/// count} entry (one per distinct key, at most one per item).
+inline constexpr EstimatorSizes kHtySizes{8, sizeof(index_t),
+                                          sizeof(value_t)};
+
 /// Eq. 5: Size_HtY = Size_ep·#Buckets + nnz_Y·(Size_idx·N_Y + Size_val
 ///                   + Size_ep).
-[[nodiscard]] std::size_t estimate_hty_bytes(std::size_t nnz_y, int order_y,
-                                             std::size_t num_buckets,
-                                             const EstimatorSizes& sz = {});
+[[nodiscard]] std::size_t estimate_hty_bytes(
+    std::size_t nnz_y, int order_y, std::size_t num_buckets,
+    const EstimatorSizes& sz = kHtySizes);
 
 /// Eq. 6 (upper bound): Size_HtA = Size_ep·#Buckets + nnz_Fmax^X ·
 ///   nnz_Fmax^Y · (Size_idx·|F_Y| + Size_val + Size_ep).

@@ -28,14 +28,20 @@ namespace sparta {
 class YPlan {
  public:
   /// Builds HtY from `y` keyed on contract modes `cy` (validated).
-  /// `hty_buckets` 0 = auto (≈ nnz(y)); `num_threads` 0 = ambient.
-  /// `use_swiss_tables` picks the SIMD-probed swiss HtY over the
-  /// chained GroupedHashMap; the plan's table kind then governs HtY for
-  /// every contraction using it, regardless of the caller's options.
-  /// Both tables lock during the build, so a plan is neither copied nor
-  /// moved: construct it in place (std::optional::emplace, make_shared).
-  /// `cancel` is polled along the parallel insert loop (every 256
-  /// inserts per thread); Cancelled unwinds before the plan object
+  /// `hty_buckets` 0 = auto (≈ nnz(y)) sizes the chained table's
+  /// buckets; `num_threads` 0 = ambient. `use_swiss_tables` picks the
+  /// SIMD-probed swiss HtY over the chained GroupedHashMap; the plan's
+  /// table kind then governs HtY for every contraction using it,
+  /// regardless of the caller's options.
+  ///
+  /// The build is one bulk pass, not per-item inserts: a parallel pass
+  /// computes each non-zero's (contract key, free key, value), a stable
+  /// radix sort groups them by contract key, the items are gathered
+  /// into one flat array, and each distinct key enters the table once.
+  /// Every group therefore holds its items in Y storage order, and the
+  /// plan's content does not depend on `num_threads`. `cancel` is
+  /// polled along the key pass (every 256 non-zeros per thread) and
+  /// once per radix pass; Cancelled unwinds before the plan object
   /// exists, so no half-built HtY can escape.
   YPlan(const SparseTensor& y, Modes cy, std::size_t hty_buckets = 0,
         int num_threads = 0, bool use_swiss_tables = false,
@@ -70,7 +76,9 @@ class YPlan {
   [[nodiscard]] std::size_t num_keys() const {
     return visit_hty([](const auto& t) { return t.num_keys(); });
   }
-  [[nodiscard]] std::size_t max_group() const { return max_group_; }
+  [[nodiscard]] std::size_t max_group() const {
+    return visit_hty([](const auto& t) { return t.max_group_size(); });
+  }
   [[nodiscard]] std::size_t hty_footprint_bytes() const {
     return visit_hty([](const auto& t) { return t.footprint_bytes(); });
   }
@@ -90,7 +98,6 @@ class YPlan {
   LinearIndexer fylin_;
   std::variant<GroupedHashMap, simd::SwissYMap> hty_;
   std::size_t nnz_y_ = 0;
-  std::size_t max_group_ = 0;
   std::size_t y_footprint_ = 0;
 };
 

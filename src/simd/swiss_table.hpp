@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -153,34 +152,48 @@ namespace detail {
 
 }  // namespace detail
 
-/// Swiss-table HtY: LN contract key -> dynamic array of (free key,
-/// value) items, mirroring GroupedHashMap's whole surface so
+/// Swiss-table HtY: LN contract key -> the run of (free key, value)
+/// items sharing it, mirroring GroupedHashMap's whole surface so
 /// YPlan/contract can hold either behind one generic code path.
 ///
-/// Parallel build uses ONE table mutex (insert_locked): open addressing
-/// rehashes the entire slot array on growth, which striped locks cannot
-/// protect. The build stage is a tiny slice of contraction time and the
-/// constructor pre-sizes for the expected key count, so growth under
-/// the lock is rare; the probe-side win is what this table is for.
+/// Built in one pass from HtyRuns: the slot array is sized from the
+/// distinct-key count (≤ 7/8 load), so it never grows, and every key is
+/// entered exactly once into a 16-byte {key, begin, count} slot. Keys
+/// enter in ascending order, so slot placement — and therefore
+/// for_each_group order — depends only on the key set, not on the
+/// thread count that built the runs.
 class SwissYMap {
  public:
-  explicit SwissYMap(std::size_t expected_keys) {
-    group_bits_ = detail::swiss_group_bits_for(expected_keys);
+  explicit SwissYMap(HtyRuns runs)
+      : group_bits_(detail::swiss_group_bits_for(runs.runs.size())),
+        items_(std::move(runs.items)),
+        max_group_(runs.max_run) {
     const std::size_t slots = num_groups() * kGroupWidth;
     ctrl_.assign(slots, kCtrlEmpty);
     slots_.resize(slots);
-  }
-
-  /// Appends `item` to the group for `key`, creating it if absent.
-  /// NOT thread-safe; see insert_locked.
-  void insert(lnkey_t key, FreeItem item) {
-    slot_for(key).items.push_back(item);
-  }
-
-  /// Thread-safe insert under the single table mutex.
-  void insert_locked(lnkey_t key, FreeItem item) {
-    std::lock_guard<std::mutex> g(lock_);
-    slot_for(key).items.push_back(item);
+    const SimdIsa isa = active_isa();
+    const std::uint64_t group_mask = num_groups() - 1;
+    for (const KeyRun& r : runs.runs) {
+      // Keys are distinct, so a new key takes the first free slot of its
+      // probe sequence without looking for an existing match.
+      SPARTA_ASSERT(&r == runs.runs.data() || (&r - 1)->key < r.key);
+      std::uint64_t g = detail::swiss_h1(r.key, group_bits_);
+      std::size_t steps = 1;
+      std::uint32_t free_mask = 0;
+      while ((free_mask = detail::group_match_free(
+                  ctrl_.data() + g * kGroupWidth, isa)) == 0) {
+        g = (g + 1) & group_mask;
+        ++steps;
+      }
+      const std::size_t s =
+          g * kGroupWidth +
+          static_cast<std::size_t>(std::countr_zero(free_mask));
+      ctrl_[s] = detail::swiss_h2(r.key);
+      slots_[s] = r;
+      ++size_;
+      SPARTA_COUNTER_ADD("simd.swiss_hty.insert_steps", steps);
+    }
+    SPARTA_COUNTER_ADD("simd.swiss_hty.inserts", items_.size());
   }
 
   /// Items for `key`, or an empty span when absent.
@@ -199,7 +212,7 @@ class SwissYMap {
             g * kGroupWidth + static_cast<std::size_t>(std::countr_zero(m));
         if (slots_[s].key == key) {
           count_probe(steps);
-          return slots_[s].items;
+          return items_of(slots_[s]);
         }
       }
       if (detail::group_match(ctrl, kCtrlEmpty, isa) != 0) {
@@ -212,123 +225,35 @@ class SwissYMap {
 
   [[nodiscard]] std::size_t num_keys() const { return size_; }
 
-  [[nodiscard]] std::size_t num_items() const {
-    std::size_t n = 0;
-    for (const Slot& s : slots_) n += s.items.size();
-    return n;
-  }
+  [[nodiscard]] std::size_t num_items() const { return items_.size(); }
 
   /// Size of the largest group — the paper's nnz_Fmax^Y (Eq. 6 bound).
-  [[nodiscard]] std::size_t max_group_size() const {
-    std::size_t n = 0;
-    for (const Slot& s : slots_) n = std::max(n, s.items.size());
-    return n;
-  }
+  [[nodiscard]] std::size_t max_group_size() const { return max_group_; }
 
   [[nodiscard]] std::size_t num_buckets() const { return slots_.size(); }
 
+  /// Measured heap footprint (ctrl bytes + slots + items).
   [[nodiscard]] std::size_t footprint_bytes() const {
-    std::size_t bytes = ctrl_.capacity() +
-                        slots_.capacity() * sizeof(Slot);
-    for (const Slot& s : slots_) {
-      bytes += s.items.capacity() * sizeof(FreeItem);
-    }
-    return bytes;
+    return ctrl_.capacity() + slots_.capacity() * sizeof(KeyRun) +
+           items_.capacity() * sizeof(FreeItem);
   }
 
-  /// Visits every (key, items) group in slot order — deterministic for
-  /// a given insertion history, identical across ISA tiers.
+  /// Visits every (key, items) group in slot order — fixed by the key
+  /// set, identical across ISA tiers and build thread counts.
   template <typename F>
   void for_each_group(F&& f) const {
     for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if ((ctrl_[s] & 0x80u) == 0) {
-        f(slots_[s].key, std::span<const FreeItem>(slots_[s].items));
-      }
+      if ((ctrl_[s] & 0x80u) == 0) f(slots_[s].key, items_of(slots_[s]));
     }
   }
 
  private:
-  struct Slot {
-    lnkey_t key = 0;
-    std::vector<FreeItem> items;
-  };
-
   [[nodiscard]] std::size_t num_groups() const {
     return std::size_t{1} << group_bits_;
   }
 
-  /// Finds the slot for `key`, inserting a new empty group at the first
-  /// free slot of the probe sequence when absent. The YMap never
-  /// erases, so there are no tombstones to recycle here.
-  Slot& slot_for(lnkey_t key) {
-    const SimdIsa isa = active_isa();
-    const std::uint8_t tag = detail::swiss_h2(key);
-    const std::uint64_t group_mask = num_groups() - 1;
-    std::uint64_t g = detail::swiss_h1(key, group_bits_);
-    std::size_t steps = 0;
-    while (true) {
-      ++steps;
-      const std::uint8_t* ctrl = ctrl_.data() + g * kGroupWidth;
-      for (std::uint32_t m = detail::group_match(ctrl, tag, isa); m != 0;
-           m &= m - 1) {
-        const std::size_t s =
-            g * kGroupWidth + static_cast<std::size_t>(std::countr_zero(m));
-        if (slots_[s].key == key) {
-          count_insert(steps);
-          return slots_[s];
-        }
-      }
-      const std::uint32_t free_mask = detail::group_match_free(ctrl, isa);
-      if (free_mask != 0) {
-        if ((size_ + 1) * 8 > slots_.size() * 7) {
-          grow();
-          return slot_for(key);  // re-probe in the grown table
-        }
-        count_insert(steps);
-        const std::size_t s =
-            g * kGroupWidth +
-            static_cast<std::size_t>(std::countr_zero(free_mask));
-        ctrl_[s] = tag;
-        slots_[s].key = key;
-        ++size_;
-        return slots_[s];
-      }
-      g = (g + 1) & group_mask;
-    }
-  }
-
-  void grow() {
-    SPARTA_COUNTER_ADD("simd.swiss_hty.grows", 1);
-    std::vector<std::uint8_t> old_ctrl;
-    std::vector<Slot> old_slots;
-    old_ctrl.swap(ctrl_);
-    old_slots.swap(slots_);
-    ++group_bits_;
-    const std::size_t slots = num_groups() * kGroupWidth;
-    ctrl_.assign(slots, kCtrlEmpty);
-    slots_.resize(slots);
-    size_ = 0;
-    const SimdIsa isa = active_isa();
-    const std::uint64_t group_mask = num_groups() - 1;
-    for (std::size_t s = 0; s < old_slots.size(); ++s) {
-      if ((old_ctrl[s] & 0x80u) != 0) continue;
-      const lnkey_t key = old_slots[s].key;
-      std::uint64_t g = detail::swiss_h1(key, group_bits_);
-      while (true) {
-        const std::uint8_t* ctrl = ctrl_.data() + g * kGroupWidth;
-        const std::uint32_t free_mask = detail::group_match_free(ctrl, isa);
-        if (free_mask != 0) {
-          const std::size_t d =
-              g * kGroupWidth +
-              static_cast<std::size_t>(std::countr_zero(free_mask));
-          ctrl_[d] = detail::swiss_h2(key);
-          slots_[d] = std::move(old_slots[s]);
-          ++size_;
-          break;
-        }
-        g = (g + 1) & group_mask;
-      }
-    }
+  [[nodiscard]] std::span<const FreeItem> items_of(const KeyRun& r) const {
+    return {items_.data() + r.begin, r.count};
   }
 
   // Same shape as the chained HtY's telemetry, under simd.* names so
@@ -339,16 +264,13 @@ class SwissYMap {
     SPARTA_COUNTER_ADD("simd.swiss_hty.probe_steps", steps);
     SPARTA_HISTOGRAM_RECORD("simd.swiss_hty.probe_len", steps);
   }
-  static void count_insert(std::size_t steps) {
-    SPARTA_COUNTER_ADD("simd.swiss_hty.inserts", 1);
-    SPARTA_COUNTER_ADD("simd.swiss_hty.insert_steps", steps);
-  }
 
-  int group_bits_ = 1;
+  int group_bits_;
   std::size_t size_ = 0;
   std::vector<std::uint8_t> ctrl_;
-  std::vector<Slot> slots_;
-  std::mutex lock_;
+  std::vector<KeyRun> slots_;
+  std::vector<FreeItem> items_;
+  std::size_t max_group_;
 };
 
 /// Swiss-table sparse accumulator (HtA/SPA): flat (key, value) slots

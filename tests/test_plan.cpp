@@ -2,10 +2,19 @@
 // search variant added by this reproduction.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "common/cancel.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "contraction/contract.hpp"
 #include "contraction/plan.hpp"
 #include "contraction/reference.hpp"
+#include "memsim/allocator.hpp"
 #include "tensor/generators.hpp"
 
 namespace sparta {
@@ -165,6 +174,137 @@ TEST(CooBinary, HandlesMissesAndEdges) {
   const SparseTensor ref = contract_reference(x, y, {1}, {0});
   EXPECT_TRUE(SparseTensor::approx_equal(z, ref, 1e-9));
 }
+
+// --- the bulk HtY build, per table kind and thread count ---------------
+
+// Each key's (free key, value) items.
+using Groups = std::map<lnkey_t, std::vector<std::pair<lnkey_t, value_t>>>;
+
+// What HtY must hold: Y's non-zeros grouped by contract key, each group
+// in Y storage order.
+Groups storage_order_groups(const SparseTensor& y, const YPlan& plan) {
+  const LinearIndexer clin(plan.contract_dims());
+  std::vector<index_t> c(static_cast<std::size_t>(y.order()));
+  Groups g;
+  for (std::size_t n = 0; n < y.nnz(); ++n) {
+    y.coords(n, c);
+    const lnkey_t fkey = plan.fy().empty()
+                             ? 0
+                             : plan.fy_indexer().linearize_gather(c, plan.fy());
+    g[clin.linearize_gather(c, plan.cy())].push_back({fkey, y.value(n)});
+  }
+  return g;
+}
+
+// What the plan's HtY holds, read through both for_each_group and find.
+Groups plan_groups(const YPlan& plan) {
+  Groups g;
+  plan.visit_hty([&](const auto& t) {
+    t.for_each_group([&](lnkey_t key, std::span<const FreeItem> items) {
+      EXPECT_EQ(g.count(key), 0u) << "key " << key << " visited twice";
+      auto& out = g[key];
+      for (const FreeItem& it : items) out.push_back({it.free_key, it.val});
+      const auto found = t.find(key);
+      EXPECT_EQ(found.data(), items.data()) << "key " << key;
+      EXPECT_EQ(found.size(), items.size()) << "key " << key;
+    });
+  });
+  return g;
+}
+
+void expect_plan_holds(const YPlan& plan, const Groups& want) {
+  const Groups got = plan_groups(plan);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(plan.num_keys(), want.size());
+  std::size_t max_group = 0;
+  for (const auto& [key, items] : want) {
+    max_group = std::max(max_group, items.size());
+  }
+  EXPECT_EQ(plan.max_group(), max_group);
+}
+
+class YPlanBuild : public ::testing::TestWithParam<std::tuple<bool, int>> {
+ protected:
+  bool swiss() const { return std::get<0>(GetParam()); }
+  int threads() const { return std::get<1>(GetParam()); }
+  YPlan build(const SparseTensor& y, Modes cy, std::size_t buckets = 0,
+              CancelToken cancel = {}) const {
+    return YPlan(y, std::move(cy), buckets, threads(), swiss(),
+                 std::move(cancel));
+  }
+};
+
+TEST_P(YPlanBuild, GroupsFollowYStorageOrder) {
+  // Unsorted Y with duplicate coordinates: every group must list its
+  // items exactly as Y stores them, whichever thread computed them.
+  SparseTensor y({6, 5, 7});
+  Rng rng(91);
+  for (int i = 0; i < 400; ++i) {
+    const index_t c[] = {static_cast<index_t>(rng.uniform(6)),
+                         static_cast<index_t>(rng.uniform(5)),
+                         static_cast<index_t>(rng.uniform(7))};
+    y.append(c, 0.5 + i);
+  }
+  const YPlan plan = build(y, {2, 0});
+  expect_plan_holds(plan, storage_order_groups(y, plan));
+}
+
+TEST_P(YPlanBuild, SingleBucketChainsEveryKey) {
+  const SparseTensor y = rand_t({14, 16, 10}, 600, 92);
+  const YPlan plan = build(y, {0, 1}, /*buckets=*/1);
+  expect_plan_holds(plan, storage_order_groups(y, plan));
+  if (!swiss()) {
+    // The chained table's minimum: 16 buckets for ~220 keys.
+    plan.visit_hty([](const auto& t) { EXPECT_EQ(t.num_buckets(), 16u); });
+  }
+}
+
+TEST_P(YPlanBuild, OneKeyHoldsEveryItem) {
+  const SparseTensor y = rand_t({1, 30, 40}, 500, 93);
+  const YPlan plan = build(y, {0});
+  EXPECT_EQ(plan.num_keys(), 1u);
+  EXPECT_EQ(plan.max_group(), y.nnz());
+  expect_plan_holds(plan, storage_order_groups(y, plan));
+}
+
+TEST_P(YPlanBuild, LargeBuildLosesNothing) {
+  const SparseTensor y = rand_t({300, 300, 200}, 120'000, 94);
+  ASSERT_GE(y.nnz(), 100'000u);
+  const YPlan plan = build(y, {1});
+  expect_plan_holds(plan, storage_order_groups(y, plan));
+  std::size_t items = 0;
+  plan.visit_hty([&](const auto& t) { items = t.num_items(); });
+  EXPECT_EQ(items, y.nnz());
+}
+
+TEST_P(YPlanBuild, CancelAtPlanBuildUnwindsToZeroLiveBytes) {
+  const SparseTensor x = rand_t({20, 15, 10}, 800, 95);
+  const SparseTensor y = rand_t({20, 15, 12}, 900, 96);
+  AllocationRegistry reg;
+  ContractOptions o;
+  o.algorithm = Algorithm::kSparta;
+  o.num_threads = threads();
+  o.use_swiss_tables = swiss();
+  o.registry = &reg;
+  o.cancel = CancelToken::make();
+  o.cancel.arm_at_site("plan.build");
+  EXPECT_THROW({ (void)contract(x, y, {0, 1}, {0, 1}, o); }, Cancelled);
+  EXPECT_EQ(reg.live_bytes(Tier::kDram) + reg.live_bytes(Tier::kPmm), 0u);
+
+  // The second check is the key pass's first poll: a cancel landing
+  // mid-build still unwinds out of the constructor.
+  const CancelToken in_pass = CancelToken::make();
+  in_pass.arm_after_checks(2);
+  EXPECT_THROW({ (void)build(y, {0, 1}, 0, in_pass); }, Cancelled);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsAndThreads, YPlanBuild,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, int>>& info) {
+      return std::string(std::get<0>(info.param) ? "swiss" : "chained") +
+             "_" + std::to_string(std::get<1>(info.param)) + "threads";
+    });
 
 // --- shared-writeback ablation path ------------------------------------
 
