@@ -96,6 +96,24 @@ std::vector<std::uint64_t> hty_groups(const YPlan& plan) {
   return out;
 }
 
+// Every algorithm path × table choice of contract().
+struct Cell {
+  Algorithm algorithm;
+  bool swiss;
+  bool linear_probe;
+  const char* suffix;
+};
+constexpr Cell kCells[] = {
+    {Algorithm::kSpa, false, false, ""},
+    {Algorithm::kCooHta, false, false, ""},
+    {Algorithm::kCooHta, true, false, "(swiss)"},
+    {Algorithm::kSparta, false, false, ""},
+    {Algorithm::kSparta, false, true, "(linear-probe)"},
+    {Algorithm::kSparta, true, false, "(swiss)"},
+    {Algorithm::kCooBinary, false, false, ""},
+    {Algorithm::kCooBinary, true, false, "(swiss)"},
+};
+
 }  // namespace
 
 DiffReport run_differential(const FuzzCase& c, const DiffOptions& opts) {
@@ -313,6 +331,43 @@ DiffReport run_differential(const FuzzCase& c, const DiffOptions& opts) {
     fail("determinism", std::string("threw: ") + e.what());
   }
 
+  // --- unsorted output: per-cell, bitwise -----------------------------
+  // Stage ⑤ only orders each X sub-tensor's run, and the gather always
+  // lays runs out in sub-tensor order. So the unsorted output must not
+  // depend on the thread count, and sorting it must give the sorted
+  // output exactly.
+  for (const Cell& cell : kCells) {
+    const std::string name =
+        std::string(algorithm_name(cell.algorithm)) + cell.suffix +
+        "[unsorted]";
+    try {
+      ContractOptions o;
+      o.algorithm = cell.algorithm;
+      o.use_swiss_tables = cell.swiss;
+      o.use_linear_probe_hta = cell.linear_probe;
+      o.sort_output = false;
+      o.num_threads = 1;
+      SparseTensor z1 = contract_tensor(c.x, c.y, c.cx, c.cy, o);
+      o.num_threads = 4;
+      const SparseTensor z4 = contract_tensor(c.x, c.y, c.cx, c.cy, o);
+      o.sort_output = true;
+      const SparseTensor zs = contract_tensor(c.x, c.y, c.cx, c.cy, o);
+      ++rep.variants_run;
+      std::string diff = bitwise_diff(z1, z4);
+      if (!diff.empty()) {
+        fail(name, "1- and 4-thread outputs differ: " + diff);
+      }
+      z1.sort();
+      diff = bitwise_diff(z1, zs);
+      if (!diff.empty()) {
+        fail(name, "sorted output is not the sorted unsorted output: " +
+                       diff);
+      }
+    } catch (const std::exception& e) {
+      fail(name, std::string("threw: ") + e.what());
+    }
+  }
+
   // --- Freivalds-style probabilistic verifier --------------------------
   if (computed) {
     try {
@@ -340,27 +395,7 @@ DiffReport run_isa_differential(const FuzzCase& c) {
   };
 
   // Every algorithm path × table choice, replayed scalar-vs-native with
-  // a BITWISE compare. Single-threaded, so the ISA is the only variable:
-  // the HtY build is thread-count independent (run_differential checks
-  // that), but the dynamic sub-tensor schedule still decides the order
-  // in which equal output coordinates from duplicate inputs reach the
-  // stage-⑤ sort.
-  struct Cell {
-    Algorithm algorithm;
-    bool swiss;
-    bool linear_probe;
-    const char* suffix;
-  };
-  constexpr Cell kCells[] = {
-      {Algorithm::kSpa, false, false, ""},
-      {Algorithm::kCooHta, false, false, ""},
-      {Algorithm::kCooHta, true, false, "(swiss)"},
-      {Algorithm::kSparta, false, false, ""},
-      {Algorithm::kSparta, false, true, "(linear-probe)"},
-      {Algorithm::kSparta, true, false, "(swiss)"},
-      {Algorithm::kCooBinary, false, false, ""},
-      {Algorithm::kCooBinary, true, false, "(swiss)"},
-  };
+  // a BITWISE compare. Single-threaded, so the ISA is the only variable.
   for (const Cell& cell : kCells) {
     const std::string name =
         std::string(algorithm_name(cell.algorithm)) + cell.suffix;

@@ -13,8 +13,9 @@
 //     accumulator × sizing combinations)
 //   * the dense oracle (small index spaces only)
 // plus per-variant invariants (sorted output, no duplicate coordinates,
-// stats consistency), cross-thread determinism, and the O(nnz)
-// Freivalds-style probabilistic verifier.
+// stats consistency), cross-thread determinism, unsorted outputs that
+// are bitwise equal at 1 and 4 threads and sort to the sorted output,
+// and the O(nnz) Freivalds-style probabilistic verifier.
 #pragma once
 
 #include <string>

@@ -61,7 +61,7 @@ inline constexpr const char* kContractSites[] = {
     "contract.search",      // stage ② inside the parallel region
     "contract.accumulate",  // stage ③ inside the parallel region
     "contract.writeback",   // stage ④ inside the parallel region
-    "contract.sort",        // stage ⑤ output sorting (sequential)
+    "contract.sort",        // stage ⑤ inside the parallel region
     "plan.build",           // HtY construction (YPlan)
     "budget.charge",        // AllocationRegistry::on_allocate
 };

@@ -8,6 +8,7 @@
 // quicksort.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <utility>
@@ -17,15 +18,17 @@ namespace sparta {
 
 /// Sorts `items` by .first ascending, stable. `key_bits` bounds the
 /// significant key width (64 = full); passes above it are skipped.
+/// `scratch` is resized to items.size() and may be reused across calls.
 template <typename Payload>
 void radix_sort_pairs(std::vector<std::pair<std::uint64_t, Payload>>& items,
-                      int key_bits = 64) {
+                      int key_bits,
+                      std::vector<std::pair<std::uint64_t, Payload>>& scratch) {
   using Item = std::pair<std::uint64_t, Payload>;
   const std::size_t n = items.size();
   if (n < 2) return;
 
   const int passes = (key_bits + 7) / 8;
-  std::vector<Item> scratch(n);
+  scratch.resize(n);
   Item* src = items.data();
   Item* dst = scratch.data();
 
@@ -59,6 +62,13 @@ void radix_sort_pairs(std::vector<std::pair<std::uint64_t, Payload>>& items,
   if (src != items.data()) {
     std::copy(src, src + n, items.data());
   }
+}
+
+template <typename Payload>
+void radix_sort_pairs(std::vector<std::pair<std::uint64_t, Payload>>& items,
+                      int key_bits = 64) {
+  std::vector<std::pair<std::uint64_t, Payload>> scratch;
+  radix_sort_pairs(items, key_bits, scratch);
 }
 
 /// Number of significant bits in `max_value` (at least 1).

@@ -17,16 +17,22 @@
 #include "hashtable/accumulator.hpp"
 #include "hashtable/grouped_map.hpp"
 #include "hashtable/linear_probe.hpp"
-#include "hashtable/spa.hpp"
+#include "contraction/writeback.hpp"
 #include "memsim/allocator.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perfctr.hpp"
 #include "obs/trace.hpp"
 #include "simd/swiss_table.hpp"
 #include "tensor/linearize.hpp"
 
 namespace sparta {
+
+using engine::HtaPolicy;
+using engine::PerfScope;
+using engine::SpaPolicy;
+using engine::ThreadTimes;
+using engine::ZLocal;
+using engine::ZRun;
 
 Modes free_modes(const SparseTensor& t, const Modes& modes,
                  const char* which) {
@@ -140,72 +146,6 @@ std::vector<index_t> gather_dims(const SparseTensor& t, const Modes& modes) {
   for (int m : modes) d.push_back(t.dim(m));
   return d;
 }
-
-// ---------------------------------------------------------------------
-// Thread-local output staging (Z_local, §3.5)
-// ---------------------------------------------------------------------
-
-struct ZLocal {
-  std::vector<index_t> coords;  // z_order entries per element, row-major
-  std::vector<value_t> vals;
-
-  [[nodiscard]] std::size_t footprint_bytes() const {
-    return coords.capacity() * sizeof(index_t) +
-           vals.capacity() * sizeof(value_t);
-  }
-};
-
-// Per-thread tallies for the three computation stages: wall times, the
-// matching hardware-counter deltas (zero/unavailable unless
-// perfctr_enabled() — see obs/perfctr.hpp), work counters, and the
-// accumulator's peak footprint. Each worker writes only its own entry;
-// the spawning thread reduces them after the parallel region.
-struct ThreadTimes {
-  double search = 0;
-  double accumulate = 0;
-  double writeback = 0;
-  obs::PerfDelta search_perf;
-  obs::PerfDelta accumulate_perf;
-  obs::PerfDelta writeback_perf;
-  std::uint64_t searches = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t multiplies = 0;
-  std::uint64_t scanned = 0;  // Y rows touched by COO searches
-  std::size_t acc_peak_bytes = 0;
-};
-
-// Samples the calling thread's counter group around one stage segment.
-// finish() accumulates the delta into `into` and, when the surrounding
-// span is being traced, attaches it as the span's args so per-segment
-// counter values land next to the timing in the Chrome trace. Disabled
-// cost (the default): one relaxed load + branch at each end.
-class PerfScope {
- public:
-  PerfScope(obs::Span& span, obs::PerfDelta& into)
-      : span_(span), into_(into), on_(obs::perfctr_enabled()) {
-    if (on_) start_ = obs::PerfCounterGroup::for_current_thread().sample();
-  }
-  PerfScope(const PerfScope&) = delete;
-  PerfScope& operator=(const PerfScope&) = delete;
-  ~PerfScope() { finish(); }
-
-  void finish() {
-    if (done_) return;
-    done_ = true;
-    if (!on_) return;
-    const obs::PerfDelta d = obs::PerfCounterGroup::delta(
-        start_, obs::PerfCounterGroup::for_current_thread().sample());
-    into_ += d;
-    if (d.available && span_.active()) span_.set_args(d.to_json());
-  }
-
- private:
-  obs::Span& span_;
-  obs::PerfDelta& into_;
-  bool on_;
-  bool done_ = false;
-  obs::PerfSample start_;
-};
 
 // ---------------------------------------------------------------------
 // Stage ② Y-access policies: iterate sorted COO, or locate in HtY
@@ -349,147 +289,6 @@ struct HtyLocate {
 };
 
 // ---------------------------------------------------------------------
-// Stage ③ accumulator policies: HtA or SPA
-// ---------------------------------------------------------------------
-//
-// One per thread, reused across that thread's sub-tensors:
-//   begin()             — start a sub-tensor
-//   add(key|tuple, v)   — one multiply's contribution
-//   drain(fyc, emit)    — emit(fy_tuple, value) per entry (stage ④)
-//   footprint_bytes()
-
-// HtA over any LN-keyed table (HashAccumulator, LinearProbeAccumulator,
-// simd::SwissAccumulator). Located items arrive keyed; iterated items
-// arrive as tuples and are linearized here.
-template <typename Table>
-class HtaPolicy {
- public:
-  HtaPolicy(std::size_t expected_keys, const LinearIndexer& fylin,
-            std::size_t nfy)
-      : table_(expected_keys), fylin_(&fylin), nfy_(nfy) {}
-
-  void begin() { table_.clear(); }
-  void add(lnkey_t free_key, value_t v) { table_.accumulate(free_key, v); }
-  void add(std::span<const index_t> free_tuple, value_t v) {
-    add(free_tuple.empty() ? 0 : fylin_->linearize(free_tuple), v);
-  }
-  template <typename Emit>
-  void drain(std::span<index_t> fyc, Emit&& emit) {
-    table_.drain([&](lnkey_t key, value_t v) {
-      fylin_->delinearize(key, fyc);
-      emit(std::span<const index_t>(fyc.data(), nfy_), v);
-    });
-  }
-  [[nodiscard]] std::size_t footprint_bytes() const {
-    return table_.footprint_bytes();
-  }
-
- private:
-  Table table_;
-  const LinearIndexer* fylin_;
-  std::size_t nfy_;
-};
-
-// SPA (Algorithm 1): full free tuples compared element-wise, never
-// linearized. Each sub-tensor starts from a fresh SPA, so the baseline
-// keeps its per-sub-tensor allocation and its charged footprint is that
-// sub-tensor's alone.
-class SpaPolicy {
- public:
-  explicit SpaPolicy(std::size_t nfy) : spa_(nfy) {}
-
-  void begin() { spa_ = SpaAccumulator(spa_.arity()); }
-  void add(std::span<const index_t> free_tuple, value_t v) {
-    spa_.accumulate(free_tuple, v);
-  }
-  template <typename Emit>
-  void drain(std::span<index_t> /*fyc*/, Emit&& emit) {
-    for (std::size_t i = 0; i < spa_.size(); ++i) {
-      emit(spa_.key(i), spa_.value(i));
-    }
-    spa_.clear();
-  }
-  [[nodiscard]] std::size_t footprint_bytes() const {
-    return spa_.footprint_bytes();
-  }
-
- private:
-  SpaAccumulator spa_;
-};
-
-// ---------------------------------------------------------------------
-// Computation driver
-// ---------------------------------------------------------------------
-
-// The parallel loop over X sub-tensors with per-thread Z_local staging
-// and tallies. `Body` runs stages ②③④ on one sub-tensor. Signature:
-//   body(tid, sub_begin, sub_end, zl, times)
-template <typename Body>
-void parallel_over_subtensors(const PreparedX& px, int nthreads, bool shared,
-                              std::vector<ZLocal>& zlocals,
-                              std::vector<ThreadTimes>& times,
-                              AllocationRegistry* reg,
-                              const CancelToken& cancel, Body&& body) {
-  const auto num_sub = static_cast<std::ptrdiff_t>(
-      px.ptrf.empty() ? 0 : px.ptrf.size() - 1);
-  const std::ptrdiff_t chunk = subtensor_chunk(num_sub, nthreads);
-  // Shared-writeback ablation: one buffer, serialized by the caller's
-  // mutex, instead of one staging buffer per thread.
-  zlocals.assign(shared ? 1 : static_cast<std::size_t>(nthreads), {});
-  times.assign(static_cast<std::size_t>(nthreads), {});
-
-  // Tracked Z_local charges, one per staging buffer (shared mode is
-  // ablation-only and never budget-tracked; validate() enforces that).
-  std::vector<ScopedCharge> zl_charges;
-  if (reg && !shared) {
-    zl_charges.reserve(zlocals.size());
-    for (std::size_t t = 0; t < zlocals.size(); ++t) {
-      zl_charges.emplace_back(reg, Tier::kDram, DataObject::kZlocal);
-    }
-  }
-
-  // A worker that throws (budget overflow, bad_alloc, injected fault)
-  // must not unwind across the omp boundary: capture, drain, rethrow.
-  ExceptionCollector ec;
-  // OpenMP pool threads keep thread-locals across regions, so the
-  // spawning thread's request id must be re-established inside the
-  // region — otherwise a pooled worker would stamp this request's
-  // spans with whatever id its previous request left behind.
-  const obs::Correlation corr = obs::current_correlation();
-#pragma omp parallel num_threads(nthreads)
-  {
-    obs::RequestIdScope rid_scope(corr);
-    const auto tid = static_cast<std::size_t>(thread_id());
-#pragma omp for schedule(dynamic, chunk)
-    for (std::ptrdiff_t f = 0; f < num_sub; ++f) {
-      ec.run([&] {
-        // Cooperative cancel point, once per X sub-tensor: Cancelled is
-        // captured by the collector like any worker fault, the remaining
-        // chunks drain as no-ops, and the spawning thread rethrows —
-        // bounding cancel-to-return latency by one chunk's work.
-        cancel.check("contract.chunk");
-        ZLocal& zl = zlocals[shared ? 0 : tid];
-        body(tid, px.ptrf[static_cast<std::size_t>(f)],
-             px.ptrf[static_cast<std::size_t>(f) + 1], zl, times[tid]);
-        if (!zl_charges.empty()) zl_charges[tid].update(zl.footprint_bytes());
-      });
-    }
-  }
-  ec.rethrow();
-}
-
-// Appends one output element (fx prefix ++ fy indices, value) to Z_local.
-inline void emit(ZLocal& zl, const SparseTensor& xt, std::size_t sub_begin,
-                 std::size_t num_free_x, std::span<const index_t> fy_coords,
-                 value_t v) {
-  for (std::size_t m = 0; m < num_free_x; ++m) {
-    zl.coords.push_back(xt.index(sub_begin, static_cast<int>(m)));
-  }
-  zl.coords.insert(zl.coords.end(), fy_coords.begin(), fy_coords.end());
-  zl.vals.push_back(v);
-}
-
-// ---------------------------------------------------------------------
 // Access-profile synthesis (memsim substrate; DESIGN.md §2)
 // ---------------------------------------------------------------------
 
@@ -518,6 +317,8 @@ struct ProfileInputs {
   std::size_t y_row_bytes;
   std::size_t z_row_bytes;
   std::uint64_t scanned_y_elements;  // Y rows the COO searches touched
+  bool sorted;                       // stage ⑤ ran
+  int fy_key_bits;                   // significant bits of Y free keys
 };
 
 void fill_access_profile(AccessProfile& p, const ContractStats& st,
@@ -526,6 +327,7 @@ void fill_access_profile(AccessProfile& p, const ContractStats& st,
   constexpr std::uint64_t kHtyItemBytes = sizeof(FreeItem);
   constexpr std::uint64_t kHtyPairBytes = sizeof(lnkey_t) + kHtyItemBytes;
   constexpr std::uint64_t kHtaEntryBytes = 24;   // key + value + chain slot
+  constexpr std::uint64_t kPairBytes = 16;       // sort buffer (key, value)
 
   // ① input processing: X permute+sort; Y sort (COO) or HtY build.
   add_sort_traffic(p.at(Stage::kInputProcessing, DataObject::kX), st.nnz_x,
@@ -582,19 +384,34 @@ void fill_access_profile(AccessProfile& p, const ContractStats& st,
     zl.bytes_written_seq += st.nnz_z * in.z_row_bytes;
   }
 
-  // ④ writeback: drain accumulators to Z_local, then gather into Z.
+  // ④ writeback: drain the accumulators (or, after ⑤, their sorted
+  // pair buffers) to Z_local, then gather into Z in sub-tensor order.
   {
-    auto& a = p.at(Stage::kWriteback, DataObject::kHtA);
-    a.bytes_read_seq += st.nnz_z * kHtaEntryBytes;
     auto& zl = p.at(Stage::kWriteback, DataObject::kZlocal);
+    if (in.sorted) {
+      zl.bytes_read_seq += st.nnz_z * kPairBytes;
+    } else {
+      auto& a = p.at(Stage::kWriteback, DataObject::kHtA);
+      a.bytes_read_seq += st.nnz_z * kHtaEntryBytes;
+    }
     zl.bytes_read_seq += st.nnz_z * in.z_row_bytes;  // gather pass
     auto& z = p.at(Stage::kWriteback, DataObject::kZ);
     z.bytes_written_seq += st.nnz_z * in.z_row_bytes;
   }
 
-  // ⑤ output sorting.
-  add_sort_traffic(p.at(Stage::kOutputSorting, DataObject::kZ), st.nnz_z,
-                   in.z_row_bytes);
+  // ⑤ output sorting: each sub-tensor's accumulator drains into a
+  // thread-private (key, value) buffer, which is radix-sorted there
+  // (one pass per key byte). The buffers are part of Z_local, in its
+  // footprint as in this traffic. A run is small next to the caches, so
+  // all of it is sequential, and Z itself is not touched.
+  if (in.sorted) {
+    auto& a = p.at(Stage::kOutputSorting, DataObject::kHtA);
+    a.bytes_read_seq += st.nnz_z * kHtaEntryBytes;
+    const auto passes = static_cast<std::uint64_t>((in.fy_key_bits + 7) / 8);
+    auto& zl = p.at(Stage::kOutputSorting, DataObject::kZlocal);
+    zl.bytes_written_seq += st.nnz_z * kPairBytes * (1 + passes);
+    zl.bytes_read_seq += st.nnz_z * kPairBytes * passes;
+  }
 }
 
 }  // namespace
@@ -707,7 +524,6 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
   // Z shape: free X dims then free Y dims.
   std::vector<index_t> zdims = gather_dims(x, split.fx);
   zdims.insert(zdims.end(), fydims.begin(), fydims.end());
-  const std::size_t zorder = zdims.size();
 
   if (x.empty() || res.stats.nnz_y == 0) {
     res.z = SparseTensor(zdims);
@@ -819,9 +635,10 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
   res.stage_times[Stage::kInputProcessing] = t_input.seconds();
 
   // ------------------------------------------------------------------
-  // ②③④ Computation over X sub-tensors
+  // ②③④⑤ Computation over X sub-tensors
   // ------------------------------------------------------------------
   std::vector<ZLocal> zlocals;
+  std::vector<ZRun> runs;
   std::vector<ThreadTimes> times;
   std::mutex writeback_mutex;  // shared-writeback ablation only
 
@@ -832,23 +649,35 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
     acc_charges.emplace_back(reg, Tier::kDram, DataObject::kHtA);
   }
 
-  // The one stage body: ② search, ③ accumulate and ④ drain to Z_local
-  // for one X sub-tensor, generic over the Y-access and accumulator
-  // policies so every variant shares the same timing, tracing, fault,
-  // cancel and counting scaffolding.
+  // The one stage body: ② search, ③ accumulate, ⑤ sort and ④ drain to
+  // Z_local for one X sub-tensor, generic over the Y-access and
+  // accumulator policies so every variant shares the same timing,
+  // tracing, fault, cancel and counting scaffolding.
   auto run_stages = [&]<typename YAccess, typename Acc>(const YAccess& ya,
                                                         const Acc& proto) {
-    std::vector<Acc> accs(static_cast<std::size_t>(nthreads), proto);
-    parallel_over_subtensors(
-        px, nthreads, opts.ablation_shared_writeback, zlocals, times, reg,
-        opts.cancel,
-        [&](std::size_t tid, std::size_t b, std::size_t e, ZLocal& zl,
+    // Per-thread state, reused across that thread's sub-tensors.
+    struct Worker {
+      Acc acc;
+      std::vector<index_t> ctuple;
+      std::vector<index_t> fxp;  // the sub-tensor's X free prefix
+      std::vector<index_t> fyc;
+      std::vector<std::pair<typename YAccess::Match, value_t>> matches;
+    };
+    std::vector<Worker> workers(
+        static_cast<std::size_t>(nthreads),
+        Worker{proto, std::vector<index_t>(m), std::vector<index_t>(nfx),
+               std::vector<index_t>(std::max<std::size_t>(nfy, 1)), {}});
+    engine::parallel_over_subtensors(
+        px.ptrf.size() - 1, nthreads, opts.ablation_shared_writeback,
+        zlocals, runs, times, reg, opts.cancel,
+        [&](std::size_t tid, std::size_t f, ZLocal& zl, ZRun& run,
             ThreadTimes& tt) {
-          Acc& acc = accs[tid];
+          const std::size_t b = px.ptrf[f];
+          const std::size_t e = px.ptrf[f + 1];
+          Worker& w = workers[tid];
+          Acc& acc = w.acc;
           acc.begin();
-          std::vector<index_t> ctuple(m);
-          std::vector<index_t> fyc(std::max<std::size_t>(nfy, 1));
-          std::vector<std::pair<typename YAccess::Match, value_t>> matches;
+          w.matches.clear();
 
           Timer t;
           obs::Span sp_search("index_search");
@@ -860,13 +689,13 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
           opts.cancel.check("contract.search");
           for (std::size_t i = b; i < e; ++i) {
             for (std::size_t k = 0; k < m; ++k) {
-              ctuple[k] = px.t.index(i, static_cast<int>(nfx + k));
+              w.ctuple[k] = px.t.index(i, static_cast<int>(nfx + k));
             }
-            const auto match = ya.find(ctuple, scanned);
+            const auto match = ya.find(w.ctuple, scanned);
             ++searches;
             if (!match.empty()) {
               ++hits;
-              matches.emplace_back(match, px.t.value(i));
+              w.matches.emplace_back(match, px.t.value(i));
             }
           }
           pp_search.finish();
@@ -879,8 +708,8 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
           std::uint64_t mults = 0;
           SPARTA_FAILPOINT("contract.accumulate");
           opts.cancel.check("contract.accumulate");
-          for (const auto& [match, xval] : matches) {
-            ya.accumulate(match, xval, acc, fyc);
+          for (const auto& [match, xval] : w.matches) {
+            ya.accumulate(match, xval, acc, w.fyc);
             mults += match.size();
           }
           acc_charges[tid].update(acc.footprint_bytes());
@@ -888,21 +717,13 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
           sp_acc.finish();
           tt.accumulate += t.seconds();
 
-          t.reset();
-          obs::Span sp_wb("writeback");
-          PerfScope pp_wb(sp_wb, tt.writeback_perf);
-          SPARTA_FAILPOINT("contract.writeback");
-          opts.cancel.check("contract.writeback");
-          std::unique_lock<std::mutex> wb_lock(writeback_mutex,
-                                                std::defer_lock);
-          if (opts.ablation_shared_writeback) wb_lock.lock();
-          acc.drain(fyc, [&](std::span<const index_t> fy_tuple, value_t v) {
-            emit(zl, px.t, b, nfx, fy_tuple, v);
-          });
-          wb_lock = {};
-          pp_wb.finish();
-          sp_wb.finish();
-          tt.writeback += t.seconds();
+          for (std::size_t k = 0; k < nfx; ++k) {
+            w.fxp[k] = px.t.index(b, static_cast<int>(k));
+          }
+          engine::write_back(acc, opts.sort_output,
+                             opts.ablation_shared_writeback ? &writeback_mutex
+                                                            : nullptr,
+                             w.fxp, w.fyc, zl, run, tt, opts.cancel);
 
           tt.searches += searches;
           tt.hits += hits;
@@ -921,12 +742,16 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
           ? std::max<std::size_t>(res.stats.max_y_group, 64)
           : 64;
   auto with_hta = [&](const auto& ya) {
+    const bool sorted = opts.sort_output;
     if (opts.use_swiss_tables) {
-      run_stages(ya, HtaPolicy<simd::SwissAccumulator>(hta_hint, fylin, nfy));
+      run_stages(ya, HtaPolicy<simd::SwissAccumulator>(hta_hint, fylin, nfy,
+                                                       sorted));
     } else if (opts.use_linear_probe_hta) {
-      run_stages(ya, HtaPolicy<LinearProbeAccumulator>(hta_hint, fylin, nfy));
+      run_stages(ya, HtaPolicy<LinearProbeAccumulator>(hta_hint, fylin, nfy,
+                                                       sorted));
     } else {
-      run_stages(ya, HtaPolicy<HashAccumulator>(hta_hint, fylin, nfy));
+      run_stages(ya,
+                 HtaPolicy<HashAccumulator>(hta_hint, fylin, nfy, sorted));
     }
   };
   switch (opts.algorithm) {
@@ -944,108 +769,16 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
       with_hta(CooIterate<true>{ycoo, m, nfy});
       break;
     case Algorithm::kSpa:
-      run_stages(CooIterate<false>{ycoo, m, nfy}, SpaPolicy(nfy));
+      run_stages(CooIterate<false>{ycoo, m, nfy}, SpaPolicy(nfy, fylin));
       break;
   }
+  const std::uint64_t total_scanned =
+      engine::reduce_thread_times(res, times, nthreads);
 
-  // Reduce the per-thread tallies. Stage wall times are averaged — equal
-  // to wall time when threads are balanced, and the paper's per-stage
-  // presentation. Hardware and work counters sum (a cycle spent on any
-  // core is a cycle of work). The accumulator footprint is the
-  // per-thread peak × thread count.
-  double search_s = 0, accumulate_s = 0, writeback_s = 0;
-  std::uint64_t total_scanned = 0;
-  std::size_t acc_peak_bytes = 0;
-  for (const ThreadTimes& tt : times) {
-    search_s += tt.search;
-    accumulate_s += tt.accumulate;
-    writeback_s += tt.writeback;
-    res.stats.perf.at(Stage::kIndexSearch) += tt.search_perf;
-    res.stats.perf.at(Stage::kAccumulation) += tt.accumulate_perf;
-    res.stats.perf.at(Stage::kWriteback) += tt.writeback_perf;
-    res.stats.searches += tt.searches;
-    res.stats.hits += tt.hits;
-    res.stats.multiplies += tt.multiplies;
-    total_scanned += tt.scanned;
-    acc_peak_bytes = std::max(acc_peak_bytes, tt.acc_peak_bytes);
-  }
-  const auto nt = static_cast<double>(nthreads);
-  res.stage_times[Stage::kIndexSearch] = search_s / nt;
-  res.stage_times[Stage::kAccumulation] = accumulate_s / nt;
-  res.stage_times[Stage::kWriteback] = writeback_s / nt;
-  res.stats.hta_bytes = acc_peak_bytes * static_cast<std::size_t>(nthreads);
-
-  // ------------------------------------------------------------------
-  // ④ (continued) Gather thread-local Z_local buffers into Z
-  // ------------------------------------------------------------------
-  Timer t_gather;
-  obs::Span sp_gather("gather");
-  PerfScope pp_gather(sp_gather, res.stats.perf.at(Stage::kWriteback));
-  std::size_t total_z = 0;
-  std::vector<std::size_t> offsets(zlocals.size() + 1, 0);
-  for (std::size_t t = 0; t < zlocals.size(); ++t) {
-    offsets[t] = total_z;
-    total_z += zlocals[t].vals.size();
-  }
-  offsets[zlocals.size()] = total_z;
-
-  // Z's size is exact here; gate the gather arrays before allocating.
-  ScopedCharge z_charge(reg, Tier::kDram, DataObject::kZ);
-  z_charge.update(total_z *
-                  (zorder * sizeof(index_t) + sizeof(value_t)));
-
-  std::vector<std::vector<index_t>> zcols(zorder);
-  for (auto& col : zcols) col.resize(total_z);
-  std::vector<value_t> zvals(total_z);
-
-  {
-    const auto nt = static_cast<std::ptrdiff_t>(zlocals.size());
-    ExceptionCollector ec;
-    const obs::Correlation corr = obs::current_correlation();
-#pragma omp parallel for schedule(static) num_threads(nthreads)
-    for (std::ptrdiff_t t = 0; t < nt; ++t) {
-      ec.run([&, t] {
-        obs::RequestIdScope rid_scope(corr);
-        opts.cancel.check("contract.gather");
-        const ZLocal& zl = zlocals[static_cast<std::size_t>(t)];
-        std::size_t dst = offsets[static_cast<std::size_t>(t)];
-        for (std::size_t i = 0; i < zl.vals.size(); ++i, ++dst) {
-          for (std::size_t mcol = 0; mcol < zorder; ++mcol) {
-            zcols[mcol][dst] = zl.coords[i * zorder + mcol];
-          }
-          zvals[dst] = zl.vals[i];
-        }
-      });
-    }
-    ec.rethrow();
-  }
-
-  std::size_t zlocal_bytes = 0;
-  for (const ZLocal& zl : zlocals) zlocal_bytes += zl.footprint_bytes();
-  res.stats.zlocal_bytes = zlocal_bytes;
-
-  res.z = SparseTensor::from_columns(std::move(zdims), std::move(zcols),
-                                     std::move(zvals));
-  pp_gather.finish();
-  sp_gather.finish();
-  res.stage_times[Stage::kWriteback] += t_gather.seconds();
-  res.stats.nnz_z = res.z.nnz();
-  res.stats.z_bytes = res.z.footprint_bytes();
-
-  // ------------------------------------------------------------------
-  // ⑤ Output sorting
-  // ------------------------------------------------------------------
-  if (opts.sort_output) {
-    SPARTA_FAILPOINT("contract.sort");
-    opts.cancel.check("contract.sort");
-    Timer t_sort;
-    obs::Span sp_sort("output_sorting");
-    PerfScope pp_sort(sp_sort, res.stats.perf.at(Stage::kOutputSorting));
-    res.z.sort(opts.cancel);
-    pp_sort.finish();
-    sp_sort.finish();
-    res.stage_times[Stage::kOutputSorting] = t_sort.seconds();
-  }
+  // ④ (continued) Gather the runs into Z in sub-tensor order: sorted Z
+  // when each run was sorted (writeback.hpp), with no global sort.
+  engine::gather_runs(res, std::move(zdims), zlocals, runs, nthreads, reg,
+                      opts.cancel);
 
   // ------------------------------------------------------------------
   // Access profile for the memory simulator
@@ -1060,8 +793,12 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
     const std::size_t y_order =
         y ? static_cast<std::size_t>(y->order()) : plan->y_dims().size();
     in.y_row_bytes = y_order * sizeof(index_t) + sizeof(value_t);
-    in.z_row_bytes = zorder * sizeof(index_t) + sizeof(value_t);
+    in.z_row_bytes = static_cast<std::size_t>(res.z.order()) *
+                         sizeof(index_t) +
+                     sizeof(value_t);
     in.scanned_y_elements = total_scanned;
+    in.sorted = opts.sort_output;
+    in.fy_key_bits = significant_bits(fylin.size() - 1);
     fill_access_profile(res.profile, res.stats, in);
 
     res.profile.set_footprint(DataObject::kX, px.t.footprint_bytes());

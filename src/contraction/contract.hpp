@@ -13,9 +13,12 @@
 //   ② index search      — locate the Y sub-tensor matching each X
 //                          non-zero's contract indices
 //   ③ accumulation      — multiply and accumulate into SPA or HtA
-//   ④ writeback         — drain accumulators into thread-local Z_local,
-//                          then gather into Z
-//   ⑤ output sorting    — sort Z lexicographically
+//   ④ writeback         — drain each sub-tensor's accumulator into
+//                          thread-local Z_local, then gather the runs
+//                          into Z in sub-tensor order
+//   ⑤ output sorting    — sort each sub-tensor's entries by Y free-mode
+//                          LN key before ④ drains them, which leaves Z
+//                          sorted lexicographically
 // All stages are OpenMP-parallel (§3.5).
 #pragma once
 

@@ -1,13 +1,13 @@
 #include "contraction/contract_csf.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
+#include "contraction/writeback.hpp"
 #include "hashtable/accumulator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -92,7 +92,6 @@ ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
   for (int mode : fx) zdims.push_back(x.dim(mode));
   zdims.insert(zdims.end(), plan.free_dims().begin(),
                plan.free_dims().end());
-  const std::size_t zorder = zdims.size();
 
   if (x.empty() || plan.nnz_y() == 0) {
     res.z = SparseTensor(zdims);
@@ -134,175 +133,86 @@ ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
   sp_input.finish();
   res.stage_times[Stage::kInputProcessing] = t_input.seconds();
 
-  // --- ②③④ computation ------------------------------------------------
-  struct ZLocal {
-    std::vector<index_t> coords;
-    std::vector<value_t> vals;
-  };
-  std::vector<ZLocal> zlocals(static_cast<std::size_t>(nthreads));
-  // Per-thread work counters and accumulator peak, each written once by
-  // its own thread and reduced after the parallel region.
-  struct Tally {
-    std::uint64_t searches = 0, hits = 0, mults = 0;
-    std::size_t acc_peak_bytes = 0;
-  };
-  std::vector<Tally> tallies(static_cast<std::size_t>(nthreads));
-
+  // --- ②③⑤④ per sub-tensor, then the ordered gather --------------------
+  using Acc = engine::HtaPolicy<HashAccumulator>;
   struct Match {
     std::span<const FreeItem> items;
     value_t xval;
   };
+  // Per-thread state, reused across that thread's sub-tensors.
+  struct Worker {
+    Acc acc;
+    std::vector<Match> matches;
+    std::vector<index_t> fyc;
+  };
+  std::vector<Worker> workers(
+      static_cast<std::size_t>(nthreads),
+      Worker{Acc(std::max<std::size_t>(plan.max_group(), 64),
+                 plan.fy_indexer(), nfy, opts.sort_output),
+             {},
+             std::vector<index_t>(std::max<std::size_t>(nfy, 1))});
+  std::vector<engine::ZLocal> zlocals;
+  std::vector<engine::ZRun> runs;
+  std::vector<engine::ThreadTimes> times;
 
-  Timer t_compute;
-  // The CSF walk interleaves search and accumulation per sub-tensor, so
-  // one span covers both stages (their seconds are split below).
-  obs::Span sp_compute("index_search+accumulation");
-  ExceptionCollector compute_ec;
-  // Pooled team threads must carry the spawning thread's request id
-  // (stale thread-locals would mis-attribute cancel/fault instants).
-  const obs::Correlation ambient = obs::current_correlation();
   // One visit per call binds the plan's HtY kind; the probes inside are
   // statically dispatched.
-  const std::ptrdiff_t chunk =
-      subtensor_chunk(static_cast<std::ptrdiff_t>(subs.size()), nthreads);
   plan.visit_hty([&](const auto& hty) {
-#pragma omp parallel num_threads(nthreads)
-    {
-      obs::RequestIdScope rid_scope(ambient);
-      const auto tid = static_cast<std::size_t>(thread_id());
-      // Built under the guard: every thread must still reach the `omp
-      // for` below even if an accumulator constructor throws.
-      std::unique_ptr<HashAccumulator> acc;
-      std::vector<Match> matches;
-      std::vector<index_t> fyc;
-      compute_ec.run([&] {
-        acc = std::make_unique<HashAccumulator>(
-            std::max<std::size_t>(plan.max_group(), 64));
-        fyc.resize(std::max<std::size_t>(nfy, 1));
-      });
-      std::uint64_t searches = 0, hits = 0, mults = 0;
-
-#pragma omp for schedule(dynamic, chunk)
-      for (std::ptrdiff_t s = 0;
-           s < static_cast<std::ptrdiff_t>(subs.size()); ++s) {
-        compute_ec.run([&] {
-          const CsfSubtensor& sub = subs[static_cast<std::size_t>(s)];
-          acc->clear();
-          matches.clear();
+    engine::parallel_over_subtensors(
+        subs.size(), nthreads, /*shared=*/false, zlocals, runs, times,
+        /*reg=*/nullptr, opts.cancel,
+        [&](std::size_t tid, std::size_t s, engine::ZLocal& zl,
+            engine::ZRun& run, engine::ThreadTimes& tt) {
+          const CsfSubtensor& sub = subs[s];
+          Worker& w = workers[tid];
+          w.acc.begin();
+          w.matches.clear();
 
           // ② index search: walk the contract subtree; the partial LN
           // key is computed once per internal fiber, not once per leaf.
+          Timer t;
+          obs::Span sp_search("index_search");
           std::size_t begin = 0;
-          std::size_t end = 0;
-          if (nfx == 0) {
-            begin = 0;
-            end = csf.level_size(0);
-          } else {
+          std::size_t end = csf.level_size(0);
+          if (nfx > 0) {
             const auto ptr = csf.level_ptr(static_cast<int>(nfx) - 1);
             begin = ptr[sub.node];
             end = ptr[sub.node + 1];
           }
           walk_contract(csf, nfx, strides, nfx, begin, end, 0,
                         [&](lnkey_t key, value_t xval) {
-                          ++searches;
+                          ++tt.searches;
                           const auto items = hty.find(key);
                           if (!items.empty()) {
-                            ++hits;
-                            matches.push_back(Match{items, xval});
+                            ++tt.hits;
+                            w.matches.push_back(Match{items, xval});
                           }
                         });
+          sp_search.finish();
+          tt.search += t.seconds();
 
           // ③ accumulation.
-          for (const Match& mt : matches) {
+          t.reset();
+          obs::Span sp_acc("accumulation");
+          for (const Match& mt : w.matches) {
             for (const FreeItem& it : mt.items) {
-              acc->accumulate(it.free_key, mt.xval * it.val);
-              ++mults;
+              w.acc.add(it.free_key, mt.xval * it.val);
             }
+            tt.multiplies += mt.items.size();
           }
+          sp_acc.finish();
+          tt.accumulate += t.seconds();
 
-          // ④ writeback into the thread-local buffer.
-          ZLocal& zl = zlocals[tid];
-          acc->drain([&](lnkey_t fkey, value_t v) {
-            plan.fy_indexer().delinearize(fkey, fyc);
-            zl.coords.insert(zl.coords.end(), sub.free_coords.begin(),
-                             sub.free_coords.end());
-            zl.coords.insert(
-                zl.coords.end(), fyc.begin(),
-                fyc.begin() + static_cast<std::ptrdiff_t>(nfy));
-            zl.vals.push_back(v);
-          });
+          engine::write_back(w.acc, opts.sort_output, nullptr,
+                             sub.free_coords, w.fyc, zl, run, tt,
+                             opts.cancel);
+          tt.acc_peak_bytes =
+              std::max(tt.acc_peak_bytes, w.acc.footprint_bytes());
         });
-      }
-
-      tallies[tid] = Tally{searches, hits, mults,
-                           acc ? acc->footprint_bytes() : 0};
-    }
   });
-  compute_ec.rethrow();
-  std::size_t acc_peak_bytes = 0;
-  for (const Tally& t : tallies) {
-    res.stats.searches += t.searches;
-    res.stats.hits += t.hits;
-    res.stats.multiplies += t.mults;
-    acc_peak_bytes = std::max(acc_peak_bytes, t.acc_peak_bytes);
-  }
-  res.stats.hta_bytes = acc_peak_bytes * static_cast<std::size_t>(nthreads);
-  sp_compute.finish();
-  // The walk interleaves search and accumulation per sub-tensor; report
-  // the combined computation under index search + accumulation halves.
-  const double compute = t_compute.seconds();
-  res.stage_times[Stage::kIndexSearch] = compute / 2;
-  res.stage_times[Stage::kAccumulation] = compute / 2;
-
-  // Gather thread-local buffers into Z.
-  Timer t_gather;
-  obs::Span sp_wb("writeback");
-  std::size_t total_z = 0;
-  std::vector<std::size_t> offsets(zlocals.size() + 1, 0);
-  for (std::size_t t = 0; t < zlocals.size(); ++t) {
-    offsets[t] = total_z;
-    total_z += zlocals[t].vals.size();
-  }
-  std::vector<std::vector<index_t>> zcols(zorder);
-  for (auto& col : zcols) col.resize(total_z);
-  std::vector<value_t> zvals(total_z);
-  ExceptionCollector gather_ec;
-#pragma omp parallel for schedule(static) num_threads(nthreads)
-  for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(zlocals.size());
-       ++t) {
-    gather_ec.run([&, t] {
-      const ZLocal& zl = zlocals[static_cast<std::size_t>(t)];
-      std::size_t dst = offsets[static_cast<std::size_t>(t)];
-      for (std::size_t i = 0; i < zl.vals.size(); ++i, ++dst) {
-        for (std::size_t mcol = 0; mcol < zorder; ++mcol) {
-          zcols[mcol][dst] = zl.coords[i * zorder + mcol];
-        }
-        zvals[dst] = zl.vals[i];
-      }
-    });
-  }
-  gather_ec.rethrow();
-  std::size_t zlocal_bytes = 0;
-  for (const ZLocal& zl : zlocals) {
-    zlocal_bytes += zl.coords.capacity() * sizeof(index_t) +
-                    zl.vals.capacity() * sizeof(value_t);
-  }
-  res.stats.zlocal_bytes = zlocal_bytes;
-  res.z = SparseTensor::from_columns(std::move(zdims), std::move(zcols),
-                                     std::move(zvals));
-  sp_wb.finish();
-  res.stage_times[Stage::kWriteback] = t_gather.seconds();
-  res.stats.nnz_z = res.z.nnz();
-  res.stats.z_bytes = res.z.footprint_bytes();
-
-  // --- ⑤ output sorting ------------------------------------------------
-  if (opts.sort_output) {
-    Timer t_sort;
-    obs::Span sp_sort("output_sorting");
-    res.z.sort();
-    sp_sort.finish();
-    res.stage_times[Stage::kOutputSorting] = t_sort.seconds();
-  }
+  engine::reduce_thread_times(res, times, nthreads);
+  engine::gather_runs(res, std::move(zdims), zlocals, runs, nthreads,
+                      /*reg=*/nullptr, opts.cancel);
 
   if (obs::metrics_enabled()) {
     auto& mreg = obs::MetricsRegistry::global();

@@ -16,7 +16,7 @@
 namespace sparta {
 
 /// Z = X ×_{cx} plan.Y via a CSF representation of X. Honors
-/// opts.num_threads / sort_output; algorithm is always Sparta.
+/// opts.num_threads, sort_output and cancel; algorithm is always Sparta.
 [[nodiscard]] ContractResult contract_csf(const SparseTensor& x,
                                           const YPlan& plan, const Modes& cx,
                                           const ContractOptions& opts = {});

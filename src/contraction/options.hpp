@@ -241,6 +241,7 @@ struct ContractStats {
   std::size_t hty_bytes = 0;          ///< measured HtY footprint
   std::size_t hta_bytes = 0;          ///< measured accumulators, all threads
   std::size_t zlocal_bytes = 0;       ///< measured Z_local, all threads
+                                      ///< (with ⑤'s sort buffers)
   std::size_t z_bytes = 0;            ///< measured output footprint
 
   /// Hardware-counter deltas per stage (empty/unavailable unless

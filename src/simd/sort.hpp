@@ -1,6 +1,6 @@
 // ISA-dispatched LSD radix sort on linearized LN keys — the stage-①
-// (permute + sort X, and the HtY bulk build) and stage-⑤ (output sort)
-// kernel.
+// (permute + sort X, and the HtY bulk build) and stage-⑤ (each X
+// sub-tensor's output) kernel.
 //
 // Every tier is a STABLE sort by the full key, so all tiers produce the
 // identical permutation (a stable sort's output is uniquely determined
@@ -53,14 +53,16 @@ void insertion_sort_pairs(
 template <typename Payload>
 void radix_sort_pairs_fused(
     std::vector<std::pair<std::uint64_t, Payload>>& items, int key_bits,
-    const CancelToken& cancel = {}) {
+    const CancelToken& cancel,
+    std::vector<std::pair<std::uint64_t, Payload>>& scratch) {
   using Item = std::pair<std::uint64_t, Payload>;
   const std::size_t n = items.size();
   const int passes = (key_bits + 7) / 8;
 
-  std::vector<std::array<std::size_t, 256>> count(
-      static_cast<std::size_t>(passes));
-  for (auto& c : count) c.fill(0);
+  std::array<std::array<std::size_t, 256>, 8> count;
+  for (int pass = 0; pass < passes; ++pass) {
+    count[static_cast<std::size_t>(pass)].fill(0);
+  }
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t key = items[i].first;
     for (int pass = 0; pass < passes; ++pass) {
@@ -68,7 +70,7 @@ void radix_sort_pairs_fused(
     }
   }
 
-  std::vector<Item> scratch(n);
+  scratch.resize(n);
   Item* src = items.data();
   Item* dst = scratch.data();
   for (int pass = 0; pass < passes; ++pass) {
@@ -108,13 +110,15 @@ void radix_sort_pairs_fused(
 inline constexpr std::size_t kRadixCutoff = 32;
 
 /// Sorts `items` by .first ascending, stable, dispatching on
-/// active_isa(). `key_bits` bounds the significant key width. `cancel`
-/// is polled once per radix pass (the scalar tier sorts between two
-/// polls — its passes live in common/radix.hpp, which stays
-/// cancellation-free).
+/// active_isa(). `key_bits` bounds the significant key width (at most
+/// 64). `cancel` is polled once per radix pass (the scalar tier sorts
+/// between two polls — its passes live in common/radix.hpp, which
+/// stays cancellation-free). `scratch` is the radix passes' second
+/// buffer; a caller sorting many small runs passes one it reuses.
 template <typename Payload>
 void sort_ln_pairs(std::vector<std::pair<std::uint64_t, Payload>>& items,
-                   int key_bits = 64, const CancelToken& cancel = {}) {
+                   int key_bits, const CancelToken& cancel,
+                   std::vector<std::pair<std::uint64_t, Payload>>& scratch) {
   if (items.size() < 2) return;
   if (items.size() < kRadixCutoff) {
     detail::insertion_sort_pairs(items);
@@ -123,11 +127,18 @@ void sort_ln_pairs(std::vector<std::pair<std::uint64_t, Payload>>& items,
   SPARTA_COUNTER_ADD("simd.radix_sorts", 1);
   cancel.check("sort.radix_pass");
   if (active_isa() == SimdIsa::kScalar) {
-    radix_sort_pairs(items, key_bits);
+    radix_sort_pairs(items, key_bits, scratch);
     cancel.check("sort.radix_pass");
   } else {
-    detail::radix_sort_pairs_fused(items, key_bits, cancel);
+    detail::radix_sort_pairs_fused(items, key_bits, cancel, scratch);
   }
+}
+
+template <typename Payload>
+void sort_ln_pairs(std::vector<std::pair<std::uint64_t, Payload>>& items,
+                   int key_bits = 64, const CancelToken& cancel = {}) {
+  std::vector<std::pair<std::uint64_t, Payload>> scratch;
+  sort_ln_pairs(items, key_bits, cancel, scratch);
 }
 
 }  // namespace sparta::simd

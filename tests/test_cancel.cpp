@@ -154,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values("contract.input", "contract.search",
                           "contract.accumulate", "contract.writeback",
-                          "contract.sort"),
+                          "contract.sort", "contract.gather"),
         ::testing::Values(Algorithm::kSpa, Algorithm::kCooHta,
                           Algorithm::kSparta, Algorithm::kCooBinary)),
     [](const ::testing::TestParamInfo<CancelAtStage::ParamType>& info) {

@@ -2,12 +2,15 @@
 // oracles (dense contraction and brute-force sparse pairing).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
 #include "contraction/contract.hpp"
+#include "contraction/contract_csf.hpp"
+#include "contraction/plan.hpp"
 #include "contraction/reference.hpp"
 #include "tensor/dense_tensor.hpp"
 #include "tensor/generators.hpp"
@@ -355,6 +358,148 @@ TEST(Contract, RejectsOverflowingFreeKeySpaceAtPlanTime) {
         << e.what();
   }
 }
+
+// --- Sorted writeback ------------------------------------------------
+//
+// Stage ⑤ sorts each X sub-tensor's run and the gather lays the runs
+// out in sub-tensor order. The result must be exactly the global sort
+// of the unsorted output, for every engine configuration.
+
+struct Engine {
+  const char* name;
+  Algorithm algorithm;
+  bool swiss;
+  bool linear_probe;
+  bool csf;  // contract_csf() through a YPlan
+};
+
+constexpr Engine kEngines[] = {
+    {"spa", Algorithm::kSpa, false, false, false},
+    {"coohta", Algorithm::kCooHta, false, false, false},
+    {"coohta_swiss", Algorithm::kCooHta, true, false, false},
+    {"sparta", Algorithm::kSparta, false, false, false},
+    {"sparta_linear_probe", Algorithm::kSparta, false, true, false},
+    {"sparta_swiss", Algorithm::kSparta, true, false, false},
+    {"coobinary", Algorithm::kCooBinary, false, false, false},
+    {"coobinary_swiss", Algorithm::kCooBinary, true, false, false},
+    {"csf", Algorithm::kSparta, false, false, true},
+    {"csf_swiss", Algorithm::kSparta, true, false, true},
+};
+
+struct Shape {
+  std::string name;
+  SparseTensor x;
+  SparseTensor y;
+  Modes cx;
+  Modes cy;
+};
+
+std::vector<Shape> writeback_shapes() {
+  std::vector<Shape> s;
+  // Sub-tensors of uneven size, the larger ones past every HtA's
+  // initial capacity.
+  s.push_back({"grow", random_tensor({40, 30}, 300, 11),
+               random_tensor({30, 1500}, 6000, 12), {1}, {0}});
+  s.push_back({"three_mode", random_tensor({10, 12, 8}, 150, 13),
+               random_tensor({8, 9, 7}, 120, 14), {2}, {0}});
+  // X fully contracted: one sub-tensor holds all of Z.
+  s.push_back({"nfx0", random_tensor({12, 9}, 60, 15),
+               random_tensor({12, 9, 300}, 2000, 16), {0, 1}, {0, 1}});
+  // Y fully contracted: at most one element per sub-tensor.
+  s.push_back({"nfy0", random_tensor({50, 12, 9}, 900, 17),
+               random_tensor({12, 9}, 60, 18), {1, 2}, {0, 1}});
+  // Z's index space exceeds 64 bits, so SparseTensor::sort() compares
+  // tuples instead of LN keys; the runs' free keys still fit.
+  s.push_back({"wide", random_tensor({2000000000u, 3}, 60, 19),
+               random_tensor({3, 2000000000u, 2000000000u}, 60, 20), {1},
+               {0}});
+  return s;
+}
+
+ContractResult run_engine(const Engine& e, const Shape& s, int threads,
+                          bool sorted, bool shared_writeback = false) {
+  ContractOptions o;
+  o.algorithm = e.algorithm;
+  o.use_swiss_tables = e.swiss;
+  o.use_linear_probe_hta = e.linear_probe;
+  o.num_threads = threads;
+  o.sort_output = sorted;
+  o.ablation_shared_writeback = shared_writeback;
+  if (e.csf) {
+    const YPlan plan(s.y, s.cy, /*hty_buckets=*/0, /*num_threads=*/1,
+                     e.swiss);
+    return contract_csf(s.x, plan, s.cx, o);
+  }
+  return contract(s.x, s.y, s.cx, s.cy, o);
+}
+
+// Dims, every index and every value's bits.
+::testing::AssertionResult bitwise_equal(const SparseTensor& a,
+                                         const SparseTensor& b) {
+  if (a.dims() != b.dims() || a.nnz() != b.nnz()) {
+    return ::testing::AssertionFailure()
+           << a.summary() << " vs " << b.summary();
+  }
+  for (std::size_t n = 0; n < a.nnz(); ++n) {
+    for (int m = 0; m < a.order(); ++m) {
+      if (a.index(n, m) != b.index(n, m)) {
+        return ::testing::AssertionFailure()
+               << "index [" << n << "][" << m << "] differs";
+      }
+    }
+    if (std::bit_cast<std::uint64_t>(a.value(n)) !=
+        std::bit_cast<std::uint64_t>(b.value(n))) {
+      return ::testing::AssertionFailure() << "value [" << n << "] differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+class SortedWriteback : public ::testing::TestWithParam<Engine> {};
+
+TEST_P(SortedWriteback, EqualsGlobalSortOfUnsortedOutput) {
+  const Engine& e = GetParam();
+  for (const Shape& s : writeback_shapes()) {
+    const SparseTensor ref = contract_reference(s.x, s.y, s.cx, s.cy);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(s.name + " at " + std::to_string(threads) + " threads");
+      const ContractResult sorted = run_engine(e, s, threads, true);
+      ContractResult unsorted = run_engine(e, s, threads, false);
+      EXPECT_GT(sorted.z.nnz(), 0u);
+      EXPECT_TRUE(sorted.z.is_sorted());
+      EXPECT_TRUE(SparseTensor::approx_equal(sorted.z, ref, 1e-9));
+      unsorted.z.sort();
+      EXPECT_TRUE(bitwise_equal(sorted.z, unsorted.z));
+    }
+  }
+}
+
+TEST_P(SortedWriteback, UnsortedOutputIsThreadCountIndependent) {
+  const Engine& e = GetParam();
+  for (const Shape& s : writeback_shapes()) {
+    SCOPED_TRACE(s.name);
+    EXPECT_TRUE(bitwise_equal(run_engine(e, s, 1, false).z,
+                              run_engine(e, s, 4, false).z));
+  }
+}
+
+TEST_P(SortedWriteback, SharedWritebackAblationMatches) {
+  const Engine& e = GetParam();
+  if (e.csf) GTEST_SKIP() << "contract_csf has no shared-writeback mode";
+  for (const Shape& s : writeback_shapes()) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(s.name + " at " + std::to_string(threads) + " threads");
+      EXPECT_TRUE(bitwise_equal(run_engine(e, s, threads, true, true).z,
+                                run_engine(e, s, threads, true).z));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryEngine, SortedWriteback, ::testing::ValuesIn(kEngines),
+    [](const ::testing::TestParamInfo<Engine>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace sparta

@@ -211,6 +211,14 @@ TEST(ProfileIntegration, ContractionFillsProfile) {
   EXPECT_TRUE(p.at(Stage::kAccumulation, DataObject::kZlocal).writes());
   EXPECT_TRUE(p.at(Stage::kWriteback, DataObject::kZlocal).reads());
   EXPECT_FALSE(p.at(Stage::kWriteback, DataObject::kZlocal).writes());
+  // Output sorting sorts each sub-tensor's pairs in a thread-private
+  // buffer: sequential Z_local traffic, and Z is not touched.
+  const AccessStats& zl_s5 = p.at(Stage::kOutputSorting, DataObject::kZlocal);
+  EXPECT_TRUE(zl_s5.reads());
+  EXPECT_TRUE(zl_s5.writes());
+  EXPECT_FALSE(zl_s5.random());
+  EXPECT_FALSE(p.at(Stage::kOutputSorting, DataObject::kZ).reads());
+  EXPECT_FALSE(p.at(Stage::kOutputSorting, DataObject::kZ).writes());
   // Footprints are populated.
   EXPECT_GT(p.footprint(DataObject::kHtY), 0u);
   EXPECT_GT(p.footprint(DataObject::kZ), 0u);
