@@ -22,6 +22,16 @@ class Timer {
 
   void reset() { start_ = clock::now(); }
 
+  /// Seconds since construction or the last reset() or lap(), and starts
+  /// the next interval at the same reading: back-to-back intervals share
+  /// their boundary read.
+  double lap() {
+    const clock::time_point now = clock::now();
+    const double s = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return s;
+  }
+
   /// Seconds elapsed since construction or last reset().
   [[nodiscard]] double seconds() const {
     return std::chrono::duration<double>(clock::now() - start_).count();

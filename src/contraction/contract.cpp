@@ -185,20 +185,24 @@ std::size_t run_end(const SparseTensor& y, std::size_t m,
 // index columns lexicographically, until the run matching `target` is
 // found or passed (Y is sorted, so passing means absent). O(nnz_Y) —
 // deliberately the baseline cost. Adds the rows up to the run's end to
-// `scanned`.
+// `scanned`. Rows below target[0] in the leading column are skipped by
+// a one-compare loop, and the other columns are read only on a tie. At
+// each of four code alignments tried, that ran 1.1–2.8× faster than
+// comparing the m columns in turn for every row (one thread, 150 000-row
+// Y, 4-vCPU VM).
 RowRange coo_linear_search(const SparseTensor& y, std::size_t m,
                            std::span<const index_t> target,
                            std::uint64_t& scanned) {
-  const std::size_t n = y.nnz();
+  const std::span<const index_t> lead = y.mode_indices(0);
+  const std::size_t n = lead.size();
   std::size_t i = 0;
   for (; i < n; ++i) {
-    int cmp = 0;
-    for (std::size_t k = 0; k < m; ++k) {
+    const index_t v = lead[i];
+    if (v < target[0]) continue;
+    int cmp = v == target[0] ? 0 : 1;
+    for (std::size_t k = 1; cmp == 0 && k < m; ++k) {
       const index_t yi = y.index(i, static_cast<int>(k));
-      if (yi != target[k]) {
-        cmp = yi < target[k] ? -1 : 1;
-        break;
-      }
+      if (yi != target[k]) cmp = yi < target[k] ? -1 : 1;
     }
     if (cmp == 0) break;  // found the start of the run
     if (cmp > 0) {        // passed it: absent
@@ -379,13 +383,15 @@ void fill_access_profile(AccessProfile& p, const ContractStats& st,
     a.rand_reads += st.multiplies;
     a.rand_writes += st.multiplies;
     // New entries are appended to Z_local as they first appear
-    // (Table 2: Z_local is Seq,WO during accumulation).
+    // (Table 2: Z_local is Seq,WO during accumulation), one (key, value)
+    // pair each.
     auto& zl = p.at(Stage::kAccumulation, DataObject::kZlocal);
-    zl.bytes_written_seq += st.nnz_z * in.z_row_bytes;
+    zl.bytes_written_seq += st.nnz_z * kPairBytes;
   }
 
   // ④ writeback: drain the accumulators (or, after ⑤, their sorted
-  // pair buffers) to Z_local, then gather into Z in sub-tensor order.
+  // pair buffers) to Z_local, then decode the pairs into Z's columns in
+  // sub-tensor order.
   {
     auto& zl = p.at(Stage::kWriteback, DataObject::kZlocal);
     if (in.sorted) {
@@ -394,7 +400,7 @@ void fill_access_profile(AccessProfile& p, const ContractStats& st,
       auto& a = p.at(Stage::kWriteback, DataObject::kHtA);
       a.bytes_read_seq += st.nnz_z * kHtaEntryBytes;
     }
-    zl.bytes_read_seq += st.nnz_z * in.z_row_bytes;  // gather pass
+    zl.bytes_read_seq += st.nnz_z * kPairBytes;  // gather pass
     auto& z = p.at(Stage::kWriteback, DataObject::kZ);
     z.bytes_written_seq += st.nnz_z * in.z_row_bytes;
   }
@@ -637,8 +643,7 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
   // ------------------------------------------------------------------
   // ②③④⑤ Computation over X sub-tensors
   // ------------------------------------------------------------------
-  std::vector<ZLocal> zlocals;
-  std::vector<ZRun> runs;
+  engine::ZStaging staging;
   std::vector<ThreadTimes> times;
   std::mutex writeback_mutex;  // shared-writeback ablation only
 
@@ -659,27 +664,30 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
     struct Worker {
       Acc acc;
       std::vector<index_t> ctuple;
-      std::vector<index_t> fxp;  // the sub-tensor's X free prefix
       std::vector<index_t> fyc;
       std::vector<std::pair<typename YAccess::Match, value_t>> matches;
     };
     std::vector<Worker> workers(
         static_cast<std::size_t>(nthreads),
-        Worker{proto, std::vector<index_t>(m), std::vector<index_t>(nfx),
+        Worker{proto, std::vector<index_t>(m),
                std::vector<index_t>(std::max<std::size_t>(nfy, 1)), {}});
     engine::parallel_over_subtensors(
-        px.ptrf.size() - 1, nthreads, opts.ablation_shared_writeback,
-        zlocals, runs, times, reg, opts.cancel,
+        px.ptrf.size() - 1, nfx, nthreads, opts.ablation_shared_writeback,
+        staging, times, reg, opts.cancel,
         [&](std::size_t tid, std::size_t f, ZLocal& zl, ZRun& run,
-            ThreadTimes& tt) {
+            std::span<index_t> fx, ThreadTimes& tt) {
           const std::size_t b = px.ptrf[f];
           const std::size_t e = px.ptrf[f + 1];
           Worker& w = workers[tid];
           Acc& acc = w.acc;
-          acc.begin();
           w.matches.clear();
+          for (std::size_t k = 0; k < nfx; ++k) {
+            fx[k] = px.t.index(b, static_cast<int>(k));
+          }
 
-          Timer t;
+          // One clock read per stage boundary: each stage's closing
+          // read opens the next.
+          Timer clock;
           obs::Span sp_search("index_search");
           PerfScope pp_search(sp_search, tt.search_perf);
           std::uint64_t searches = 0;
@@ -700,37 +708,36 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
           }
           pp_search.finish();
           sp_search.finish();
-          tt.search += t.seconds();
+          tt.search += clock.lap();
 
-          t.reset();
           obs::Span sp_acc("accumulation");
           PerfScope pp_acc(sp_acc, tt.accumulate_perf);
           std::uint64_t mults = 0;
           SPARTA_FAILPOINT("contract.accumulate");
           opts.cancel.check("contract.accumulate");
+          acc.begin();
           for (const auto& [match, xval] : w.matches) {
             ya.accumulate(match, xval, acc, w.fyc);
             mults += match.size();
           }
-          acc_charges[tid].update(acc.footprint_bytes());
+          // The drain keeps the accumulator's capacity, so this is also
+          // its size after ④.
+          const std::size_t acc_bytes = acc.footprint_bytes();
+          acc_charges[tid].update(acc_bytes);
           pp_acc.finish();
           sp_acc.finish();
-          tt.accumulate += t.seconds();
+          tt.accumulate += clock.lap();
 
-          for (std::size_t k = 0; k < nfx; ++k) {
-            w.fxp[k] = px.t.index(b, static_cast<int>(k));
-          }
           engine::write_back(acc, opts.sort_output,
                              opts.ablation_shared_writeback ? &writeback_mutex
                                                             : nullptr,
-                             w.fxp, w.fyc, zl, run, tt, opts.cancel);
+                             zl, run, tt, clock, opts.cancel);
 
           tt.searches += searches;
           tt.hits += hits;
           tt.multiplies += mults;
           tt.scanned += scanned;
-          tt.acc_peak_bytes =
-              std::max(tt.acc_peak_bytes, acc.footprint_bytes());
+          tt.acc_peak_bytes = std::max(tt.acc_peak_bytes, acc_bytes);
         });
   };
 
@@ -744,14 +751,13 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
   auto with_hta = [&](const auto& ya) {
     const bool sorted = opts.sort_output;
     if (opts.use_swiss_tables) {
-      run_stages(ya, HtaPolicy<simd::SwissAccumulator>(hta_hint, fylin, nfy,
-                                                       sorted));
-    } else if (opts.use_linear_probe_hta) {
-      run_stages(ya, HtaPolicy<LinearProbeAccumulator>(hta_hint, fylin, nfy,
-                                                       sorted));
-    } else {
       run_stages(ya,
-                 HtaPolicy<HashAccumulator>(hta_hint, fylin, nfy, sorted));
+                 HtaPolicy<simd::SwissAccumulator>(hta_hint, fylin, sorted));
+    } else if (opts.use_linear_probe_hta) {
+      run_stages(ya,
+                 HtaPolicy<LinearProbeAccumulator>(hta_hint, fylin, sorted));
+    } else {
+      run_stages(ya, HtaPolicy<HashAccumulator>(hta_hint, fylin, sorted));
     }
   };
   switch (opts.algorithm) {
@@ -777,7 +783,7 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
 
   // ④ (continued) Gather the runs into Z in sub-tensor order: sorted Z
   // when each run was sorted (writeback.hpp), with no global sort.
-  engine::gather_runs(res, std::move(zdims), zlocals, runs, nthreads, reg,
+  engine::gather_runs(res, std::move(zdims), staging, nthreads, reg,
                       opts.cancel);
 
   // ------------------------------------------------------------------

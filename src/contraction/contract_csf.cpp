@@ -76,7 +76,6 @@ ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
   if (opts.trace) obs::TraceRecorder::global().enable();
   const Modes fx = validate_plan_modes(x, plan, cx).fx;
   const std::size_t nfx = fx.size();
-  const std::size_t nfy = plan.fy().size();
   const std::size_t m = cx.size();
   const int nthreads =
       opts.num_threads > 0 ? opts.num_threads : max_threads();
@@ -143,34 +142,34 @@ ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
   struct Worker {
     Acc acc;
     std::vector<Match> matches;
-    std::vector<index_t> fyc;
   };
   std::vector<Worker> workers(
       static_cast<std::size_t>(nthreads),
       Worker{Acc(std::max<std::size_t>(plan.max_group(), 64),
-                 plan.fy_indexer(), nfy, opts.sort_output),
-             {},
-             std::vector<index_t>(std::max<std::size_t>(nfy, 1))});
-  std::vector<engine::ZLocal> zlocals;
-  std::vector<engine::ZRun> runs;
+                 plan.fy_indexer(), opts.sort_output),
+             {}});
+  engine::ZStaging staging;
   std::vector<engine::ThreadTimes> times;
 
   // One visit per call binds the plan's HtY kind; the probes inside are
   // statically dispatched.
   plan.visit_hty([&](const auto& hty) {
     engine::parallel_over_subtensors(
-        subs.size(), nthreads, /*shared=*/false, zlocals, runs, times,
+        subs.size(), nfx, nthreads, /*shared=*/false, staging, times,
         /*reg=*/nullptr, opts.cancel,
         [&](std::size_t tid, std::size_t s, engine::ZLocal& zl,
-            engine::ZRun& run, engine::ThreadTimes& tt) {
+            engine::ZRun& run, std::span<index_t> fx,
+            engine::ThreadTimes& tt) {
           const CsfSubtensor& sub = subs[s];
           Worker& w = workers[tid];
-          w.acc.begin();
           w.matches.clear();
+          std::copy(sub.free_coords.begin(), sub.free_coords.end(),
+                    fx.begin());
 
           // ② index search: walk the contract subtree; the partial LN
           // key is computed once per internal fiber, not once per leaf.
-          Timer t;
+          // One clock read per stage boundary, as in contract().
+          Timer clock;
           obs::Span sp_search("index_search");
           std::size_t begin = 0;
           std::size_t end = csf.level_size(0);
@@ -189,11 +188,11 @@ ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
                           }
                         });
           sp_search.finish();
-          tt.search += t.seconds();
+          tt.search += clock.lap();
 
           // ③ accumulation.
-          t.reset();
           obs::Span sp_acc("accumulation");
+          w.acc.begin();
           for (const Match& mt : w.matches) {
             for (const FreeItem& it : mt.items) {
               w.acc.add(it.free_key, mt.xval * it.val);
@@ -201,17 +200,16 @@ ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
             tt.multiplies += mt.items.size();
           }
           sp_acc.finish();
-          tt.accumulate += t.seconds();
+          tt.accumulate += clock.lap();
 
-          engine::write_back(w.acc, opts.sort_output, nullptr,
-                             sub.free_coords, w.fyc, zl, run, tt,
-                             opts.cancel);
+          engine::write_back(w.acc, opts.sort_output, nullptr, zl, run, tt,
+                             clock, opts.cancel);
           tt.acc_peak_bytes =
               std::max(tt.acc_peak_bytes, w.acc.footprint_bytes());
         });
   });
   engine::reduce_thread_times(res, times, nthreads);
-  engine::gather_runs(res, std::move(zdims), zlocals, runs, nthreads,
+  engine::gather_runs(res, std::move(zdims), staging, nthreads,
                       /*reg=*/nullptr, opts.cancel);
 
   if (obs::metrics_enabled()) {

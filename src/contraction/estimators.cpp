@@ -20,10 +20,10 @@ std::size_t estimate_hta_bytes(std::size_t nnz_fmax_x, std::size_t nnz_fmax_y,
 }
 
 std::size_t estimate_zlocal_bytes(std::size_t nnz_hta, int num_free_x,
-                                  int num_free_y, const EstimatorSizes& sz) {
-  const std::size_t per_entry =
-      sz.index * static_cast<std::size_t>(num_free_x + num_free_y) + sz.value;
-  return nnz_hta * per_entry;
+                                  int /*num_free_y*/, std::size_t num_runs,
+                                  const EstimatorSizes& sz) {
+  return nnz_hta * (sizeof(lnkey_t) + sz.value) +
+         num_runs * sz.index * static_cast<std::size_t>(num_free_x);
 }
 
 }  // namespace sparta

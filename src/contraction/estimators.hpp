@@ -62,11 +62,14 @@ inline constexpr EstimatorSizes kHtySizes{8, sizeof(index_t),
                                              std::size_t num_buckets,
                                              const EstimatorSizes& sz = {});
 
-/// Z_local bound (§4.2): size of HtA's payload plus the free-X indices
-/// appended to each of its entries.
+/// Z_local bound (§4.2): one (Y free LN key, value) pair per HtA entry,
+/// plus each run's free-X indices, stored once per X sub-tensor. The
+/// key is one LN integer however many Y free modes it packs, so
+/// num_free_y does not enter; num_runs = 0 leaves the prefixes out.
 [[nodiscard]] std::size_t estimate_zlocal_bytes(std::size_t nnz_hta,
                                                 int num_free_x,
                                                 int num_free_y,
+                                                std::size_t num_runs = 0,
                                                 const EstimatorSizes& sz = {});
 
 }  // namespace sparta

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/error.hpp"
+
 namespace sparta::engine {
 
 namespace {
@@ -51,13 +53,22 @@ std::uint64_t reduce_thread_times(ContractResult& res,
 }
 
 void gather_runs(ContractResult& res, std::vector<index_t> zdims,
-                 const std::vector<ZLocal>& zlocals,
-                 const std::vector<ZRun>& runs, int nthreads,
+                 const ZStaging& staging, int nthreads,
                  AllocationRegistry* reg, const CancelToken& cancel) {
   Timer t_gather;
   obs::Span sp_gather("gather");
   PerfScope pp_gather(sp_gather, res.stats.perf.at(Stage::kWriteback));
+  const std::vector<ZRun>& runs = staging.runs;
   const std::size_t zorder = zdims.size();
+  const std::size_t nfx = staging.nfx;
+  const std::size_t nfy = zorder - nfx;
+  const index_t* fy_dims = zdims.data() + nfx;
+
+  // Row-major LN strides of Y's free modes (the keys' linearization).
+  std::vector<lnkey_t> fy_strides(nfy, 1);
+  for (std::size_t k = nfy; k-- > 1;) {
+    fy_strides[k - 1] = fy_strides[k] * fy_dims[k];
+  }
 
   // offsets[s] = Z row where sub-tensor s's run starts.
   std::vector<std::size_t> offsets(runs.size() + 1, 0);
@@ -121,32 +132,49 @@ void gather_runs(ContractResult& res, std::vector<index_t> zdims,
         cancel.check("contract.gather");
         std::size_t row = static_cast<std::size_t>(c) * chunk_rows;
         const std::size_t end = std::min(total, row + chunk_rows);
+        // Z adopts the columns unchecked, so the bounds check is here:
+        // every index written is compared with its mode's size.
+        bool out_of_bounds = false;
         // The run holding `row`: the last one starting at or before it
         // (empty runs before it share its offset and are skipped).
         auto s = static_cast<std::size_t>(
             std::upper_bound(offsets.begin(), offsets.end(), row) -
             offsets.begin() - 1);
         for (; row < end; ++s) {
-          const ZRun& run = runs[s];
-          const ZLocal& zl = zlocals[run.zlocal];
           const std::size_t stop = std::min(end, offsets[s + 1]);
-          std::size_t src = run.first + (row - offsets[s]);
-          for (; row < stop; ++row, ++src) {
-            const index_t* coords = zl.coords.data() + src * zorder;
-            for (std::size_t m = 0; m < zorder; ++m) cols[m][row] = coords[m];
-            zvals[row] = zl.vals[src];
+          if (stop == row) continue;
+          const std::span<const index_t> fx = staging.fx(s);
+          for (std::size_t k = 0; k < nfx; ++k) {
+            out_of_bounds |= fx[k] >= zdims[k];
+            std::fill_n(cols[k] + row, stop - row, fx[k]);
+          }
+          const ZRun& run = runs[s];
+          const auto* pair = staging.zlocals[run.zlocal].data() + run.first +
+                             (row - offsets[s]);
+          for (; row < stop; ++row, ++pair) {
+            lnkey_t key = pair->first;
+            for (std::size_t k = 0; k + 1 < nfy; ++k) {
+              const lnkey_t q = key / fy_strides[k];
+              key -= q * fy_strides[k];
+              out_of_bounds |= q >= fy_dims[k];
+              cols[nfx + k][row] = static_cast<index_t>(q);
+            }
+            if (nfy > 0) {
+              out_of_bounds |= key >= fy_dims[nfy - 1];
+              cols[zorder - 1][row] = static_cast<index_t>(key);
+            }
+            zvals[row] = pair->second;
           }
         }
+        SPARTA_CHECK(!out_of_bounds, "index out of bounds in column");
       });
     }
   }
   ec.rethrow();
 
-  for (const ZLocal& zl : zlocals) {
-    res.stats.zlocal_bytes += zl.footprint_bytes();
-  }
-  res.z = SparseTensor::from_columns(std::move(zdims), std::move(zcols),
-                                     std::move(zvals));
+  res.stats.zlocal_bytes += staging.footprint_bytes();
+  res.z = SparseTensor::from_columns_unchecked(
+      std::move(zdims), std::move(zcols), std::move(zvals));
   pp_gather.finish();
   sp_gather.finish();
   res.stage_times[Stage::kWriteback] += t_gather.seconds();

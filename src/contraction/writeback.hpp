@@ -1,8 +1,9 @@
 // The per-sub-tensor half of the pipeline shared by contract() and
 // contract_csf(): the stage-③ accumulator policies, the parallel loop
 // over X sub-tensors, stage ⑤ (each sub-tensor's output sorted by its
-// Y free-mode LN key), stage ④ (the drain into thread-local Z_local)
-// and the gather that lays the runs out in sub-tensor order.
+// Y free-mode LN key), stage ④ (the drain into thread-local Z_local, as
+// (key, value) pairs) and the gather that decodes the runs into Z's
+// columns in sub-tensor order.
 //
 // Why per-sub-tensor sorting yields sorted Z: X is sorted by its free
 // modes first, so its sub-tensors arrive in ascending free-prefix
@@ -97,24 +98,13 @@ struct ThreadTimes {
 // ---------------------------------------------------------------------
 // Thread-local output staging (Z_local, §3.5)
 // ---------------------------------------------------------------------
+//
+// Z's X free levels are constant over a sub-tensor's run, so Z_local
+// holds only what varies along it: one (Y free LN key, value) pair per
+// output row. Each run's X free prefix is stored once, and the gather
+// decodes the keys straight into Z's columns.
 
-struct ZLocal {
-  std::vector<index_t> coords;  // z_order entries per element, row-major
-  std::vector<value_t> vals;
-
-  [[nodiscard]] std::size_t rows() const { return vals.size(); }
-  [[nodiscard]] std::size_t footprint_bytes() const {
-    return coords.capacity() * sizeof(index_t) +
-           vals.capacity() * sizeof(value_t);
-  }
-  // Appends one output element: X free prefix ++ Y free indices.
-  void append(std::span<const index_t> fx, std::span<const index_t> fy,
-              value_t v) {
-    coords.insert(coords.end(), fx.begin(), fx.end());
-    coords.insert(coords.end(), fy.begin(), fy.end());
-    vals.push_back(v);
-  }
-};
+using ZLocal = std::vector<std::pair<lnkey_t, value_t>>;
 
 // One X sub-tensor's output: rows [first, first + count) of
 // zlocals[zlocal].
@@ -122,6 +112,28 @@ struct ZRun {
   std::size_t zlocal = 0;
   std::size_t first = 0;
   std::size_t count = 0;
+};
+
+// Everything ④ stages for the gather.
+struct ZStaging {
+  std::vector<ZLocal> zlocals;  // one per thread (one when shared)
+  std::vector<ZRun> runs;       // one per X sub-tensor
+  std::vector<index_t> run_fx;  // each run's X free prefix, nfx apiece
+  std::size_t nfx = 0;
+
+  [[nodiscard]] std::span<index_t> fx(std::size_t run) {
+    return {run_fx.data() + run * nfx, nfx};
+  }
+  [[nodiscard]] std::span<const index_t> fx(std::size_t run) const {
+    return {run_fx.data() + run * nfx, nfx};
+  }
+  [[nodiscard]] std::size_t footprint_bytes() const {
+    std::size_t bytes = run_fx.capacity() * sizeof(index_t);
+    for (const ZLocal& zl : zlocals) {
+      bytes += zl.capacity() * sizeof(zl[0]);
+    }
+    return bytes;
+  }
 };
 
 // ---------------------------------------------------------------------
@@ -132,10 +144,44 @@ struct ZRun {
 //   begin()             — start a sub-tensor
 //   add(key|tuple, v)   — one multiply's contribution
 //   sort(cancel)        — ⑤ order the entries by Y free LN key
-//   drain(fyc, emit)    — ④ emit(fy_tuple, value) per entry, in key
-//                         order after sort(), else in table order
+//   drain(zl)           — ④ append the (key, value) entries to zl, in
+//                         key order after sort(), else in table order
 //   footprint_bytes()   — the accumulator (HtA or SPA), Eq. 6's object
 //   sort_buffer_bytes() — the sort buffers, counted with Z_local
+
+// ⑤'s buffers: one sub-tensor's (key, value) pairs, sorted by key and
+// held until ④ appends them to Z_local. They only grow.
+class SortedRun {
+ public:
+  explicit SortedRun(const LinearIndexer& fylin)
+      : key_bits_(significant_bits(fylin.size() - 1)) {}
+
+  // The emptied buffer to fill before sort().
+  ZLocal& start() {
+    run_.clear();
+    return run_;
+  }
+  void sort(const CancelToken& cancel) {
+    simd::sort_ln_pairs(run_, key_bits_, cancel, scratch_);
+    staged_ = true;
+  }
+  // Appends the staged run to zl; false when none is staged.
+  bool flush(ZLocal& zl) {
+    if (!staged_) return false;
+    zl.insert(zl.end(), run_.begin(), run_.end());
+    staged_ = false;
+    return true;
+  }
+  [[nodiscard]] std::size_t bytes() const {
+    return (run_.capacity() + scratch_.capacity()) * sizeof(run_[0]);
+  }
+
+ private:
+  int key_bits_;
+  bool staged_ = false;
+  ZLocal run_;
+  ZLocal scratch_;
+};
 
 // HtA over any LN-keyed table (HashAccumulator, LinearProbeAccumulator,
 // simd::SwissAccumulator). Located items arrive keyed; iterated items
@@ -144,14 +190,13 @@ template <typename Table>
 class HtaPolicy {
  public:
   HtaPolicy(std::size_t expected_keys, const LinearIndexer& fylin,
-            std::size_t nfy, bool sorted_output)
+            bool sorted_output)
       : table_(expected_keys),
         expected_keys_(expected_keys),
         buckets_(table_.num_buckets()),
         fylin_(&fylin),
-        nfy_(nfy),
-        key_bits_(significant_bits(fylin.size() - 1)),
-        sorted_output_(sorted_output) {}
+        sorted_output_(sorted_output),
+        sorted_(fylin) {}
 
   // Unsorted output keeps each run in table order. A table that grew is
   // rebuilt at its constructed size, so that order depends on the
@@ -169,126 +214,108 @@ class HtaPolicy {
     add(free_tuple.empty() ? 0 : fylin_->linearize(free_tuple), v);
   }
   void sort(const CancelToken& cancel) {
-    run_.clear();
-    table_.drain([&](lnkey_t key, value_t v) { run_.emplace_back(key, v); });
-    simd::sort_ln_pairs(run_, key_bits_, cancel, scratch_);
-    staged_ = true;
+    drain_into(sorted_.start());
+    sorted_.sort(cancel);
   }
-  template <typename Emit>
-  void drain(std::span<index_t> fyc, Emit&& emit) {
-    auto put = [&](lnkey_t key, value_t v) {
-      fylin_->delinearize(key, fyc);
-      emit(std::span<const index_t>(fyc.data(), nfy_), v);
-    };
-    if (staged_) {
-      for (const auto& [key, v] : run_) put(key, v);
-      staged_ = false;
-    } else {
-      table_.drain(put);
-    }
+  void drain(ZLocal& zl) {
+    if (!sorted_.flush(zl)) drain_into(zl);
   }
   [[nodiscard]] std::size_t footprint_bytes() const {
     return table_.footprint_bytes();
   }
   [[nodiscard]] std::size_t sort_buffer_bytes() const {
-    return (run_.capacity() + scratch_.capacity()) * sizeof(Pair);
+    return sorted_.bytes();
   }
 
  private:
-  using Pair = std::pair<lnkey_t, value_t>;
+  void drain_into(ZLocal& out) const {
+    table_.drain([&](lnkey_t key, value_t v) { out.emplace_back(key, v); });
+  }
+
   Table table_;
   std::size_t expected_keys_;
   std::size_t buckets_;
   const LinearIndexer* fylin_;
-  std::size_t nfy_;
-  int key_bits_;
   bool sorted_output_;
-  bool staged_ = false;
-  std::vector<Pair> run_;
-  std::vector<Pair> scratch_;
+  SortedRun sorted_;
 };
 
 // SPA (Algorithm 1): full free tuples compared element-wise; they are
-// linearized only to sort. Each sub-tensor starts from a fresh SPA, so
-// the baseline keeps its per-sub-tensor allocation.
+// linearized only as they leave it. Each sub-tensor starts from a fresh
+// SPA, so the baseline keeps its per-sub-tensor allocation.
 class SpaPolicy {
  public:
   SpaPolicy(std::size_t nfy, const LinearIndexer& fylin)
-      : spa_(nfy),
-        fylin_(&fylin),
-        key_bits_(significant_bits(fylin.size() - 1)) {}
+      : spa_(nfy), fylin_(&fylin), sorted_(fylin) {}
 
   void begin() { spa_ = SpaAccumulator(spa_.arity()); }
   void add(std::span<const index_t> free_tuple, value_t v) {
     spa_.accumulate(free_tuple, v);
   }
   void sort(const CancelToken& cancel) {
-    order_.clear();
-    for (std::size_t i = 0; i < spa_.size(); ++i) {
-      order_.emplace_back(
-          spa_.arity() == 0 ? 0 : fylin_->linearize(spa_.key(i)), i);
-    }
-    simd::sort_ln_pairs(order_, key_bits_, cancel, scratch_);
-    staged_ = true;
+    drain_into(sorted_.start());
+    sorted_.sort(cancel);
   }
-  template <typename Emit>
-  void drain(std::span<index_t> /*fyc*/, Emit&& emit) {
-    if (staged_) {
-      for (const auto& [key, i] : order_) emit(spa_.key(i), spa_.value(i));
-      staged_ = false;
-    } else {
-      for (std::size_t i = 0; i < spa_.size(); ++i) {
-        emit(spa_.key(i), spa_.value(i));
-      }
-    }
+  void drain(ZLocal& zl) {
+    if (!sorted_.flush(zl)) drain_into(zl);
     spa_.clear();
   }
   [[nodiscard]] std::size_t footprint_bytes() const {
     return spa_.footprint_bytes();
   }
   [[nodiscard]] std::size_t sort_buffer_bytes() const {
-    return (order_.capacity() + scratch_.capacity()) * sizeof(Pair);
+    return sorted_.bytes();
   }
 
  private:
-  using Pair = std::pair<lnkey_t, std::size_t>;
+  void drain_into(ZLocal& out) const {
+    for (std::size_t i = 0; i < spa_.size(); ++i) {
+      out.emplace_back(spa_.arity() == 0 ? 0 : fylin_->linearize(spa_.key(i)),
+                       spa_.value(i));
+    }
+  }
+
   SpaAccumulator spa_;
   const LinearIndexer* fylin_;
-  int key_bits_;
-  bool staged_ = false;
-  std::vector<Pair> order_;
-  std::vector<Pair> scratch_;
+  SortedRun sorted_;
 };
 
 // ---------------------------------------------------------------------
 // The parallel loop over sub-tensors, and stages ⑤④ for one of them
 // ---------------------------------------------------------------------
 
-// Runs body(tid, f, zl, run, tt) for every sub-tensor f < num_sub, with
-// per-thread Z_local staging and tallies. `run` is runs[f] with its
-// buffer index set; the body's write_back() fills the rest.
+// Runs body(tid, f, zl, run, fx, tt) for every sub-tensor f < num_sub,
+// with per-thread Z_local staging and tallies. `run` is
+// staging.runs[f] with its buffer index set; the body's write_back()
+// fills the rest. The body stores the sub-tensor's X free prefix in
+// `fx`, its nfx entries of staging.run_fx.
 template <typename Body>
-void parallel_over_subtensors(std::size_t num_sub, int nthreads, bool shared,
-                              std::vector<ZLocal>& zlocals,
-                              std::vector<ZRun>& runs,
+void parallel_over_subtensors(std::size_t num_sub, std::size_t nfx,
+                              int nthreads, bool shared, ZStaging& staging,
                               std::vector<ThreadTimes>& times,
                               AllocationRegistry* reg,
                               const CancelToken& cancel, Body&& body) {
   const auto n = static_cast<std::ptrdiff_t>(num_sub);
   const std::ptrdiff_t chunk = subtensor_chunk(n, nthreads);
-  // Shared-writeback ablation: one buffer, serialized by the caller's
-  // mutex, instead of one staging buffer per thread.
-  zlocals.assign(shared ? 1 : static_cast<std::size_t>(nthreads), {});
-  runs.assign(num_sub, {});
   times.assign(static_cast<std::size_t>(nthreads), {});
 
-  // Tracked Z_local charges, one per staging buffer plus its thread's
-  // sort buffers (shared mode is ablation-only and never budget-tracked;
-  // validate() enforces that).
+  // Tracked Z_local charges: the run prefixes, then one per staging
+  // buffer plus its thread's sort buffers (shared mode is ablation-only
+  // and never budget-tracked; validate() enforces that).
+  ScopedCharge fx_charge(shared ? nullptr : reg, Tier::kDram,
+                         DataObject::kZlocal);
+  fx_charge.update(num_sub * nfx * sizeof(index_t));
+  // Shared-writeback ablation: one buffer, serialized by the caller's
+  // mutex, instead of one staging buffer per thread.
+  staging.zlocals.assign(shared ? 1 : static_cast<std::size_t>(nthreads),
+                         {});
+  staging.runs.assign(num_sub, {});
+  staging.nfx = nfx;
+  staging.run_fx.assign(num_sub * nfx, 0);
   std::vector<ScopedCharge> zl_charges;
   if (reg && !shared) {
-    zl_charges.reserve(zlocals.size());
-    for (std::size_t t = 0; t < zlocals.size(); ++t) {
+    zl_charges.reserve(staging.zlocals.size());
+    for (std::size_t t = 0; t < staging.zlocals.size(); ++t) {
       zl_charges.emplace_back(reg, Tier::kDram, DataObject::kZlocal);
     }
   }
@@ -305,7 +332,7 @@ void parallel_over_subtensors(std::size_t num_sub, int nthreads, bool shared,
   {
     obs::RequestIdScope rid_scope(corr);
     const auto tid = static_cast<std::size_t>(thread_id());
-    const std::size_t zi = shared ? 0 : tid;
+    ZLocal& zl = staging.zlocals[shared ? 0 : tid];
 #pragma omp for schedule(dynamic, chunk)
     for (std::ptrdiff_t f = 0; f < n; ++f) {
       ec.run([&] {
@@ -314,11 +341,12 @@ void parallel_over_subtensors(std::size_t num_sub, int nthreads, bool shared,
         // chunks drain as no-ops, and the spawning thread rethrows —
         // bounding cancel-to-return latency by one chunk's work.
         cancel.check("contract.chunk");
-        ZRun& run = runs[static_cast<std::size_t>(f)];
-        run.zlocal = zi;
-        body(tid, static_cast<std::size_t>(f), zlocals[zi], run, times[tid]);
+        const auto s = static_cast<std::size_t>(f);
+        ZRun& run = staging.runs[s];
+        run.zlocal = shared ? 0 : tid;
+        body(tid, s, zl, run, staging.fx(s), times[tid]);
         if (!zl_charges.empty()) {
-          zl_charges[tid].update(zlocals[zi].footprint_bytes() +
+          zl_charges[tid].update(zl.capacity() * sizeof(zl[0]) +
                                  times[tid].sort_buffer_bytes);
         }
       });
@@ -328,16 +356,15 @@ void parallel_over_subtensors(std::size_t num_sub, int nthreads, bool shared,
 }
 
 // Stages ⑤ and ④ for one sub-tensor: sorts the accumulator's entries
-// by Y free LN key (when `sorted`), then appends them to `zl` behind
-// the sub-tensor's X free prefix `fx` and records their rows in `run`.
-// `shared` is the shared-writeback ablation's lock, null otherwise.
+// by Y free LN key (when `sorted`), then appends them to `zl` and
+// records their rows in `run`. `clock` was last read at the end of ③;
+// each stage's closing read opens the next. `shared` is the
+// shared-writeback ablation's lock, null otherwise.
 template <typename Acc>
-void write_back(Acc& acc, bool sorted, std::mutex* shared,
-                std::span<const index_t> fx, std::span<index_t> fyc,
-                ZLocal& zl, ZRun& run, ThreadTimes& tt,
+void write_back(Acc& acc, bool sorted, std::mutex* shared, ZLocal& zl,
+                ZRun& run, ThreadTimes& tt, Timer& clock,
                 const CancelToken& cancel) {
   if (sorted) {
-    Timer t;
     obs::Span sp_sort("output_sorting");
     PerfScope pp_sort(sp_sort, tt.sort_perf);
     SPARTA_FAILPOINT("contract.sort");
@@ -345,25 +372,22 @@ void write_back(Acc& acc, bool sorted, std::mutex* shared,
     acc.sort(cancel);
     pp_sort.finish();
     sp_sort.finish();
-    tt.sort += t.seconds();
+    tt.sort += clock.lap();
   }
-  Timer t;
   obs::Span sp_wb("writeback");
   PerfScope pp_wb(sp_wb, tt.writeback_perf);
   SPARTA_FAILPOINT("contract.writeback");
   cancel.check("contract.writeback");
   std::unique_lock<std::mutex> lock;
   if (shared != nullptr) lock = std::unique_lock<std::mutex>(*shared);
-  run.first = zl.rows();
-  acc.drain(fyc, [&](std::span<const index_t> fy, value_t v) {
-    zl.append(fx, fy, v);
-  });
-  run.count = zl.rows() - run.first;
+  run.first = zl.size();
+  acc.drain(zl);
+  run.count = zl.size() - run.first;
   lock = {};
   tt.sort_buffer_bytes = acc.sort_buffer_bytes();
   pp_wb.finish();
   sp_wb.finish();
-  tt.writeback += t.seconds();
+  tt.writeback += clock.lap();
 }
 
 // Folds the per-thread tallies into `res`. Stage wall times are
@@ -378,13 +402,14 @@ std::uint64_t reduce_thread_times(ContractResult& res,
                                   int nthreads);
 
 // The rest of ④: lays the runs out in sub-tensor order as Z's columns,
-// in parallel over row chunks with one cancel poll per chunk. Z's size
+// in parallel over row chunks with one cancel poll per chunk. Each run
+// fills its X free prefix columns once and decodes its keys into the Y
+// free columns; every index written is checked against zdims. Z's size
 // is charged to `reg` (when non-null) before Z is allocated. Sets res.z
-// and its stats, adds the staging buffers to res.stats.zlocal_bytes and
-// the gather's time to stage ④.
+// and its stats, adds the staging to res.stats.zlocal_bytes and the
+// gather's time to stage ④.
 void gather_runs(ContractResult& res, std::vector<index_t> zdims,
-                 const std::vector<ZLocal>& zlocals,
-                 const std::vector<ZRun>& runs, int nthreads,
+                 const ZStaging& staging, int nthreads,
                  AllocationRegistry* reg, const CancelToken& cancel);
 
 }  // namespace sparta::engine

@@ -35,7 +35,9 @@ class HashAccumulator {
       }
     }
     count_probe(steps);
+    const std::size_t cap = chain.capacity();
     chain.push_back(Entry{key, v});
+    chain_bytes_ += (chain.capacity() - cap) * sizeof(Entry);
     ++size_;
   }
 
@@ -44,12 +46,9 @@ class HashAccumulator {
   [[nodiscard]] std::size_t num_buckets() const { return buckets_.size(); }
 
   /// Heap footprint; the quantity bounded by Eq. 6 for DRAM placement.
+  /// O(1): chain growth is tallied as entries are pushed.
   [[nodiscard]] std::size_t footprint_bytes() const {
-    std::size_t bytes = buckets_.capacity() * sizeof(buckets_[0]);
-    for (const auto& chain : buckets_) {
-      bytes += chain.capacity() * sizeof(Entry);
-    }
-    return bytes;
+    return buckets_.capacity() * sizeof(buckets_[0]) + chain_bytes_;
   }
 
   /// Visits each (key, value) pair. Order is unspecified (the output
@@ -84,6 +83,7 @@ class HashAccumulator {
   int bits_ = 4;
   std::vector<std::vector<Entry>> buckets_;
   std::size_t size_ = 0;
+  std::size_t chain_bytes_ = 0;  // capacity of every chain, in bytes
 };
 
 }  // namespace sparta

@@ -386,10 +386,11 @@ class SwissAccumulator {
     }
   }
 
-  /// Empties the table (tombstones included), keeping capacity.
+  /// Empties the table (tombstones included), keeping capacity. Only
+  /// the control bytes are reset: probes and drains read a slot only
+  /// after its control byte marks it full, and an insert writes both.
   void clear() {
     std::fill(ctrl_.begin(), ctrl_.end(), kCtrlEmpty);
-    std::fill(slots_.begin(), slots_.end(), Slot{});
     size_ = 0;
     occupied_ = 0;
   }

@@ -67,15 +67,25 @@ void SparseTensor::clear() {
 SparseTensor SparseTensor::from_columns(
     std::vector<index_t> dims, std::vector<std::vector<index_t>> columns,
     std::vector<value_t> values) {
+  SparseTensor t = from_columns_unchecked(std::move(dims), std::move(columns),
+                                          std::move(values));
+  for (std::size_t m = 0; m < t.inds_.size(); ++m) {
+    for (index_t v : t.inds_[m]) {
+      SPARTA_CHECK(v < t.dims_[m], "index out of bounds in column");
+    }
+  }
+  return t;
+}
+
+SparseTensor SparseTensor::from_columns_unchecked(
+    std::vector<index_t> dims, std::vector<std::vector<index_t>> columns,
+    std::vector<value_t> values) {
   SparseTensor t(std::move(dims));
   SPARTA_CHECK(columns.size() == t.dims_.size(),
                "one index column per mode required");
-  for (std::size_t m = 0; m < columns.size(); ++m) {
-    SPARTA_CHECK(columns[m].size() == values.size(),
+  for (const auto& col : columns) {
+    SPARTA_CHECK(col.size() == values.size(),
                  "column length must match value count");
-    for (index_t v : columns[m]) {
-      SPARTA_CHECK(v < t.dims_[m], "index out of bounds in column");
-    }
   }
   t.inds_ = std::move(columns);
   t.vals_ = std::move(values);

@@ -74,10 +74,17 @@ class SparseTensor {
   void clear();
 
   /// Takes ownership of fully-built index columns + values (one column
-  /// per mode, all the same length). Used by the parallel writeback
-  /// gather, which fills the columns with OpenMP before handing them
-  /// over. Column lengths and bounds are validated.
+  /// per mode, all the same length). Column lengths and bounds are
+  /// validated.
   [[nodiscard]] static SparseTensor from_columns(
+      std::vector<index_t> dims, std::vector<std::vector<index_t>> columns,
+      std::vector<value_t> values);
+
+  /// from_columns() without the bounds scan (lengths are still checked):
+  /// the caller guarantees every index is within its mode's size. Used
+  /// by the parallel writeback gather, which checks each index as it
+  /// writes it.
+  [[nodiscard]] static SparseTensor from_columns_unchecked(
       std::vector<index_t> dims, std::vector<std::vector<index_t>> columns,
       std::vector<value_t> values);
 

@@ -10,12 +10,15 @@
 #include <cstring>
 #include <future>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
 #include "common/cancel.hpp"
 #include "common/failpoint.hpp"
 #include "contraction/contract.hpp"
+#include "contraction/contract_csf.hpp"
+#include "contraction/plan.hpp"
 #include "contraction/reference.hpp"
 #include "contraction/resilient.hpp"
 #include "memsim/allocator.hpp"
@@ -170,6 +173,58 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return site;
     });
+
+// The gather polls once per row chunk. A Z spanning many chunks,
+// gathered by four threads, still unwinds cleanly when the first poll
+// trips, for every variant and for contract_csf.
+TEST(CancelEngine, GatherOverManyRowChunksUnwindsCleanly) {
+  GeneratorSpec xs;
+  xs.dims = {40, 12};
+  xs.nnz = 120;
+  xs.seed = 31;
+  GeneratorSpec ys;
+  ys.dims = {12, 1000};
+  ys.nnz = 6000;
+  ys.seed = 32;
+  const SparseTensor x = generate_random(xs);
+  const SparseTensor y = generate_random(ys);
+  const Modes cx{1};
+  const Modes cy{0};
+  const SparseTensor ref = contract_reference(x, y, cx, cy);
+  // The gather's chunks hold at least 4 096 rows.
+  ASSERT_GT(ref.nnz(), 4u * 4096u);
+
+  auto expect_cancelled = [&](auto&& run, std::string_view what) {
+    AllocationRegistry reg;
+    ContractOptions o;
+    o.num_threads = 4;
+    o.cancel = CancelToken::make();
+    o.cancel.arm_at_site("contract.gather");
+    EXPECT_THROW(run(o, &reg), Cancelled) << what;
+    EXPECT_EQ(live_total(reg), 0u) << "budget leaked in " << what;
+    ContractOptions clean;
+    clean.num_threads = 4;
+    EXPECT_TRUE(SparseTensor::approx_equal(run(clean, nullptr).z, ref, 1e-9))
+        << what;
+  };
+  for (const Algorithm alg : {Algorithm::kSpa, Algorithm::kCooHta,
+                              Algorithm::kSparta, Algorithm::kCooBinary}) {
+    expect_cancelled(
+        [&](ContractOptions o, AllocationRegistry* reg) {
+          o.algorithm = alg;
+          o.registry = reg;
+          return contract(x, y, cx, cy, o);
+        },
+        algorithm_name(alg));
+  }
+  const YPlan plan(y, cy, /*hty_buckets=*/0, /*num_threads=*/1,
+                   /*use_swiss=*/false);
+  expect_cancelled(
+      [&](const ContractOptions& o, AllocationRegistry*) {
+        return contract_csf(x, plan, cx, o);
+      },
+      "contract_csf");
+}
 
 // Countdown sweep: wherever the n-th check lands — mid table build, mid
 // chunk, mid sort — the unwind is clean, and a countdown longer than

@@ -413,6 +413,21 @@ std::vector<Shape> writeback_shapes() {
   s.push_back({"wide", random_tensor({2000000000u, 3}, 60, 19),
                random_tensor({3, 2000000000u, 2000000000u}, 60, 20), {1},
                {0}});
+  // A Y free key space of 10^10 > 2^32, with enough rows that the
+  // gather's decode runs over several row chunks.
+  s.push_back({"fy_key_above_2_32", random_tensor({30, 20}, 400, 21),
+               random_tensor({20, 100000, 100000}, 2000, 22), {1}, {0}});
+  // Z of order 1 holding only Y's free mode (nfx = 0, nfy = 1): one
+  // run spans every row chunk.
+  s.push_back({"order1_fy_only", random_tensor({12, 9}, 60, 23),
+               random_tensor({12, 9, 100000}, 24000, 24), {0, 1}, {0, 1}});
+  // Z of order 1 holding only X's free mode (nfx = 1, nfy = 0): tens of
+  // thousands of runs of at most one row each.
+  s.push_back({"order1_fx_only", random_tensor({60000, 4}, 30000, 25),
+               random_tensor({4}, 3, 26), {1}, {0}});
+  // Both kinds of free mode, and mostly one-row runs.
+  s.push_back({"one_row_runs", random_tensor({60000, 4}, 30000, 27),
+               random_tensor({4, 1}, 4, 28), {1}, {0}});
   return s;
 }
 
