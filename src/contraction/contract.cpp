@@ -22,6 +22,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "simd/sort.hpp"
 #include "simd/swiss_table.hpp"
 #include "tensor/linearize.hpp"
 
@@ -96,48 +97,28 @@ namespace {
 // ---------------------------------------------------------------------
 
 // X permuted to [free..., contract...] and sorted, with sub-tensor
-// boundaries ptrf over the free-mode prefix (paper's ptr_F).
-struct PreparedX {
-  SparseTensor t;
-  std::vector<std::size_t> ptrf;  // num_subtensors + 1 entries
-  std::size_t num_free = 0;
-};
-
-PreparedX prepare_x(const SparseTensor& x, const Modes& fx, const Modes& cx,
-                    const CancelToken& cancel) {
-  PreparedX px;
-  px.num_free = fx.size();
+// boundaries over the free-mode prefix (prefix_starts, the paper's
+// ptr_F), in one fused parallel pass.
+SortedCopy prepare_x(const SparseTensor& x, const Modes& fx, const Modes& cx,
+                     int nthreads, const CancelToken& cancel) {
   Modes order = fx;
   order.insert(order.end(), cx.begin(), cx.end());
-  px.t = x;  // operands are const; work on a copy
-  px.t.permute_modes(order);
-  px.t.sort(cancel);
-
-  // Boundaries of runs with equal free-mode prefix.
-  px.ptrf.push_back(0);
-  const std::size_t n = px.t.nnz();
-  for (std::size_t i = 1; i < n; ++i) {
-    for (std::size_t m = 0; m < px.num_free; ++m) {
-      if (px.t.index(i - 1, static_cast<int>(m)) !=
-          px.t.index(i, static_cast<int>(m))) {
-        px.ptrf.push_back(i);
-        break;
-      }
-    }
-  }
-  if (n > 0) px.ptrf.push_back(n);
-  return px;
+  return sorted_permuted_copy(x, order, fx.size(), nthreads, cancel,
+                              "contract.input");
 }
 
-// Y permuted to [contract..., free...] and sorted (COO variants only).
+// Y permuted to [contract..., free...] and sorted (COO variants only),
+// on the calling thread: the COO search over this copy dominates these
+// variants' time, and in a service running requests side by side the
+// copy's team regions waited at barriers for descheduled threads.
+// serve_repeated_y's setup, whose warm-up runs 16 COO requests on a
+// 60k–150k-nnz Y, took 1.6–1.9 s with a 2-thread copy and 1.0–1.2 s
+// with one (4-vCPU VM).
 SparseTensor prepare_y_coo(const SparseTensor& y, const Modes& cy,
                            const Modes& fy, const CancelToken& cancel) {
   Modes order = cy;
   order.insert(order.end(), fy.begin(), fy.end());
-  SparseTensor t = y;
-  t.permute_modes(order);
-  t.sort(cancel);
-  return t;
+  return sorted_permuted_copy(y, order, 0, 1, cancel, "contract.input").t;
 }
 
 std::vector<index_t> gather_dims(const SparseTensor& t, const Modes& modes) {
@@ -296,22 +277,46 @@ struct HtyLocate {
 // Access-profile synthesis (memsim substrate; DESIGN.md §2)
 // ---------------------------------------------------------------------
 
-// Approximate traffic of sorting n elements of `row_bytes` each. The
-// LN-pair sort streams (key, position) pairs through log-factor
-// partition passes — overwhelmingly sequential — with a final
-// permutation gather/scatter whose random accesses hit whole cache
-// lines (hence the /8 on access counts).
-void add_sort_traffic(AccessStats& s, std::uint64_t n,
-                      std::uint64_t row_bytes) {
-  if (n == 0) return;
-  const auto logn = static_cast<std::uint64_t>(
-      std::max(1.0, std::log2(static_cast<double>(n))));
-  s.bytes_read_seq += n * row_bytes + n * 16 * logn / 2;
-  s.bytes_written_seq += n * row_bytes + n * 16 * logn / 2;
-  s.bytes_read_rand += n * row_bytes / 4;
-  s.bytes_written_rand += n * row_bytes / 4;
+// 16-byte pairs: (LN key, position) in the sorts, (key, value) in
+// Z_local and ⑤'s buffers.
+constexpr std::uint64_t kPairBytes = 16;
+
+// A stable LSD radix sort of n pairs: each pass, one per key byte,
+// reads them in order and scatters them to 256 sequential streams.
+void add_radix_traffic(AccessStats& s, std::uint64_t n, int key_bits) {
+  const auto passes = static_cast<std::uint64_t>((key_bits + 7) / 8);
+  s.bytes_read_seq += n * kPairBytes * passes;
+  s.bytes_written_seq += n * kPairBytes * passes;
+}
+
+// A gather of n elements of `bytes` each at sorted positions: the
+// random fetches hit whole cache lines, hence the /8 on access counts.
+void add_gather_traffic(AccessStats& s, std::uint64_t n,
+                        std::uint64_t bytes) {
+  s.bytes_read_rand += n * bytes / 4;
   s.rand_reads += n / 8;
-  s.rand_writes += n / 8;
+  s.bytes_written_seq += n * bytes;
+}
+
+// The fused sorted copy of n rows of `row_bytes` (sorted_permuted_copy):
+// a key pass reads the columns once and writes one pair per row, the
+// pairs are radix-sorted, and the gather reads them in order, fetches
+// each source row at its position and writes the sorted columns.
+void add_sorted_copy_traffic(AccessStats& s, std::uint64_t n,
+                             std::uint64_t row_bytes, int key_bits) {
+  s.bytes_read_seq += n * row_bytes;
+  s.bytes_written_seq += n * kPairBytes;
+  add_radix_traffic(s, n, key_bits);
+  s.bytes_read_seq += n * kPairBytes;
+  add_gather_traffic(s, n, row_bytes);
+}
+
+// Significant bits of LN keys over `dims` (64 when they overflow it).
+int ln_key_bits(std::span<const index_t> dims) {
+  if (!ln_space_fits(dims)) return 64;
+  lnkey_t size = 1;
+  for (index_t d : dims) size *= d;
+  return simd::significant_bits(size - 1);
 }
 
 struct ProfileInputs {
@@ -322,35 +327,40 @@ struct ProfileInputs {
   std::size_t z_row_bytes;
   std::uint64_t scanned_y_elements;  // Y rows the COO searches touched
   bool sorted;                       // stage ⑤ ran
-  int fy_key_bits;                   // significant bits of Y free keys
+  int x_key_bits;                    // significant bits of X's LN keys
+  int y_key_bits;                    // ... of Y's (COO variants)
+  int c_key_bits;                    // ... of the contract keys (HtY)
+  int fy_key_bits;                   // ... of Y free keys
 };
 
 void fill_access_profile(AccessProfile& p, const ContractStats& st,
                          const ProfileInputs& in) {
   constexpr std::uint64_t kHtyProbeBytes = 32;   // bucket ptr + group header
   constexpr std::uint64_t kHtyItemBytes = sizeof(FreeItem);
-  constexpr std::uint64_t kHtyPairBytes = sizeof(lnkey_t) + kHtyItemBytes;
   constexpr std::uint64_t kHtaEntryBytes = 24;   // key + value + chain slot
-  constexpr std::uint64_t kPairBytes = 16;       // sort buffer (key, value)
 
-  // ① input processing: X permute+sort; Y sort (COO) or HtY build.
-  add_sort_traffic(p.at(Stage::kInputProcessing, DataObject::kX), st.nnz_x,
-                   in.x_row_bytes);
+  // ① input processing: X's sorted copy; Y's sorted copy (COO) or the
+  // HtY build.
+  add_sorted_copy_traffic(p.at(Stage::kInputProcessing, DataObject::kX),
+                          st.nnz_x, in.x_row_bytes, in.x_key_bits);
   if (in.alg == Algorithm::kSparta) {
     auto& y = p.at(Stage::kInputProcessing, DataObject::kY);
     y.bytes_read_seq += st.nnz_y * in.y_row_bytes;
     // The bulk HtY build (group_by_key): the key pass writes one
-    // (contract key, item) pair per Y non-zero, the pairs are sorted by
-    // key and gathered into runs, and each distinct key then enters the
+    // (contract key, position) pair and one item per Y non-zero, the
+    // pairs are radix-sorted, the gather fetches each item at its
+    // position into the runs, and each distinct key then enters the
     // table's index once at a hashed slot.
     auto& hty = p.at(Stage::kInputProcessing, DataObject::kHtY);
-    hty.bytes_written_seq += st.nnz_y * kHtyPairBytes;
-    add_sort_traffic(hty, st.nnz_y, kHtyPairBytes);
+    hty.bytes_written_seq += st.nnz_y * (kPairBytes + kHtyItemBytes);
+    add_radix_traffic(hty, st.nnz_y, in.c_key_bits);
+    hty.bytes_read_seq += st.nnz_y * kPairBytes;
+    add_gather_traffic(hty, st.nnz_y, kHtyItemBytes);
     hty.bytes_written_rand += st.num_y_keys * sizeof(KeyRun);
     hty.rand_writes += st.num_y_keys;
   } else {
-    add_sort_traffic(p.at(Stage::kInputProcessing, DataObject::kY), st.nnz_y,
-                     in.y_row_bytes);
+    add_sorted_copy_traffic(p.at(Stage::kInputProcessing, DataObject::kY),
+                            st.nnz_y, in.y_row_bytes, in.y_key_bits);
   }
 
   // ② index search: X contract columns stream in; HtY is probed randomly
@@ -545,15 +555,16 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
   SPARTA_FAILPOINT("contract.input");
   opts.cancel.check("contract.input");
 
-  PreparedX px;
+  SortedCopy px;
   {
     obs::Span sp("permute_sort_x");
-    px = prepare_x(x, split.fx, cx, opts.cancel);
+    px = prepare_x(x, split.fx, cx, nthreads, opts.cancel);
   }
-  res.stats.num_x_subtensors = px.ptrf.size() - 1;
-  for (std::size_t f = 0; f + 1 < px.ptrf.size(); ++f) {
+  const std::vector<std::size_t>& ptrf = px.prefix_starts;
+  res.stats.num_x_subtensors = ptrf.size() - 1;
+  for (std::size_t f = 0; f + 1 < ptrf.size(); ++f) {
     res.stats.max_x_subtensor =
-        std::max(res.stats.max_x_subtensor, px.ptrf[f + 1] - px.ptrf[f]);
+        std::max(res.stats.max_x_subtensor, ptrf[f + 1] - ptrf[f]);
   }
 
   ScopedCharge x_charge(reg, Tier::kDram, DataObject::kX);
@@ -672,12 +683,12 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
         Worker{proto, std::vector<index_t>(m),
                std::vector<index_t>(std::max<std::size_t>(nfy, 1)), {}});
     engine::parallel_over_subtensors(
-        px.ptrf.size() - 1, nfx, nthreads, opts.ablation_shared_writeback,
+        ptrf.size() - 1, nfx, nthreads, opts.ablation_shared_writeback,
         staging, times, reg, opts.cancel,
         [&](std::size_t tid, std::size_t f, ZLocal& zl, ZRun& run,
             std::span<index_t> fx, ThreadTimes& tt) {
-          const std::size_t b = px.ptrf[f];
-          const std::size_t e = px.ptrf[f + 1];
+          const std::size_t b = ptrf[f];
+          const std::size_t e = ptrf[f + 1];
           Worker& w = workers[tid];
           Acc& acc = w.acc;
           w.matches.clear();
@@ -804,7 +815,10 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
                      sizeof(value_t);
     in.scanned_y_elements = total_scanned;
     in.sorted = opts.sort_output;
-    in.fy_key_bits = significant_bits(fylin.size() - 1);
+    in.x_key_bits = ln_key_bits(x.dims());
+    in.y_key_bits = y ? ln_key_bits(y->dims()) : 0;
+    in.c_key_bits = ln_key_bits(cdims);
+    in.fy_key_bits = simd::significant_bits(fylin.size() - 1);
     fill_access_profile(res.profile, res.stats, in);
 
     res.profile.set_footprint(DataObject::kX, px.t.footprint_bytes());

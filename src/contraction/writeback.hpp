@@ -25,7 +25,6 @@
 #include "common/cancel.hpp"
 #include "common/failpoint.hpp"
 #include "common/parallel.hpp"
-#include "common/radix.hpp"
 #include "common/timer.hpp"
 #include "contraction/contract.hpp"
 #include "hashtable/spa.hpp"
@@ -154,7 +153,7 @@ struct ZStaging {
 class SortedRun {
  public:
   explicit SortedRun(const LinearIndexer& fylin)
-      : key_bits_(significant_bits(fylin.size() - 1)) {}
+      : key_bits_(simd::significant_bits(fylin.size() - 1)) {}
 
   // The emptied buffer to fill before sort().
   ZLocal& start() {

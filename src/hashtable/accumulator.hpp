@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "hashtable/hash.hpp"
@@ -24,7 +25,8 @@ class HashAccumulator {
 
   /// Adds `v` to the entry for `key`, inserting it when absent.
   void accumulate(lnkey_t key, value_t v) {
-    auto& chain = buckets_[hash_ln(key, bits_)];
+    const std::uint64_t b = hash_ln(key, bits_);
+    auto& chain = buckets_[b];
     std::size_t steps = 0;
     for (Entry& e : chain) {
       ++steps;
@@ -35,6 +37,7 @@ class HashAccumulator {
       }
     }
     count_probe(steps);
+    if (chain.empty()) touched_.push_back(static_cast<std::uint32_t>(b));
     const std::size_t cap = chain.capacity();
     chain.push_back(Entry{key, v});
     chain_bytes_ += (chain.capacity() - cap) * sizeof(Entry);
@@ -48,22 +51,26 @@ class HashAccumulator {
   /// Heap footprint; the quantity bounded by Eq. 6 for DRAM placement.
   /// O(1): chain growth is tallied as entries are pushed.
   [[nodiscard]] std::size_t footprint_bytes() const {
-    return buckets_.capacity() * sizeof(buckets_[0]) + chain_bytes_;
+    return buckets_.capacity() * sizeof(buckets_[0]) + chain_bytes_ +
+           touched_.capacity() * sizeof(touched_[0]);
   }
 
-  /// Visits each (key, value) pair. Order is unspecified (the output
-  /// sorting stage handles ordering).
+  /// Visits each (key, value) pair, bucket by bucket in the order the
+  /// buckets first filled: an order fixed by the entries since the last
+  /// clear() alone (the output sorting stage handles ordering). O(size).
   template <typename F>
   void drain(F&& f) const {
-    for (const auto& chain : buckets_) {
-      for (const Entry& e : chain) f(e.key, e.val);
+    for (const std::uint32_t b : touched_) {
+      for (const Entry& e : buckets_[b]) f(e.key, e.val);
     }
   }
 
   /// Empties the accumulator but keeps the bucket array, so one HtA can
-  /// be reused across the sub-tensors a thread processes.
+  /// be reused across the sub-tensors a thread processes. O(size): only
+  /// the buckets filled since the last clear() are visited.
   void clear() {
-    for (auto& chain : buckets_) chain.clear();
+    for (const std::uint32_t b : touched_) buckets_[b].clear();
+    touched_.clear();
     size_ = 0;
   }
 
@@ -82,6 +89,7 @@ class HashAccumulator {
 
   int bits_ = 4;
   std::vector<std::vector<Entry>> buckets_;
+  std::vector<std::uint32_t> touched_;  // non-empty buckets, first-fill order
   std::size_t size_ = 0;
   std::size_t chain_bytes_ = 0;  // capacity of every chain, in bytes
 };

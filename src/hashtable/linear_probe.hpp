@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -42,8 +43,8 @@ class LinearProbeAccumulator {
         count_probe(steps);
         s.key = key;
         s.val = v;
-        ++size_;
-        if (size_ * 10 > slots_.size() * 7) grow();
+        used_.push_back(static_cast<std::uint32_t>(i));
+        if (used_.size() * 10 > slots_.size() * 7) grow();
         return;
       }
       i = (i + 1) & mask;
@@ -51,25 +52,26 @@ class LinearProbeAccumulator {
     }
   }
 
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return used_.size(); }
+  [[nodiscard]] bool empty() const { return used_.empty(); }
   [[nodiscard]] std::size_t num_buckets() const { return slots_.size(); }
 
   [[nodiscard]] std::size_t footprint_bytes() const {
-    return slots_.capacity() * sizeof(Slot);
+    return slots_.capacity() * sizeof(Slot) +
+           used_.capacity() * sizeof(used_[0]);
   }
 
+  /// Visits each (key, value) pair in insertion order. O(size).
   template <typename F>
   void drain(F&& f) const {
-    for (const Slot& s : slots_) {
-      if (s.key != kEmpty) f(s.key, s.val);
-    }
+    for (const std::uint32_t i : used_) f(slots_[i].key, slots_[i].val);
   }
 
-  /// Empties the table, keeping its capacity for reuse.
+  /// Empties the table, keeping its capacity for reuse. O(size): only
+  /// the occupied slots are reset.
   void clear() {
-    for (Slot& s : slots_) s.key = kEmpty;
-    size_ = 0;
+    for (const std::uint32_t i : used_) slots_[i].key = kEmpty;
+    used_.clear();
   }
 
  private:
@@ -90,24 +92,27 @@ class LinearProbeAccumulator {
     SPARTA_HISTOGRAM_RECORD("hta.probe_len", steps);
   }
 
+  // Rehashes in insertion order, so used_ keeps that order.
   void grow() {
     SPARTA_COUNTER_ADD("hta.grows", 1);
+    SPARTA_CHECK(bits_ < 32, "linear-probe table exceeds 2^32 slots");
     std::vector<Slot> old;
     old.swap(slots_);
     ++bits_;
     slots_.assign(std::size_t{1} << bits_, Slot{});
     const std::size_t mask = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.key == kEmpty) continue;
+    for (std::uint32_t& u : used_) {
+      const Slot& s = old[u];
       std::size_t i = hash_ln(s.key, bits_);
       while (slots_[i].key != kEmpty) i = (i + 1) & mask;
       slots_[i] = s;
+      u = static_cast<std::uint32_t>(i);
     }
   }
 
   int bits_ = 4;
   std::vector<Slot> slots_;
-  std::size_t size_ = 0;
+  std::vector<std::uint32_t> used_;  // occupied slots, insertion order
 };
 
 }  // namespace sparta

@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "common/error.hpp"
-#include "common/radix.hpp"
+#include "simd/sort.hpp"
 #include "tensor/linearize.hpp"
 
 namespace sparta {
@@ -53,7 +53,7 @@ HicooTensor HicooTensor::from_coo(const SparseTensor& t, int block_bits) {
       }
       keyed[i] = {(grid_lin.linearize(bc) << wbits) | within, i};
     }
-    radix_sort_pairs(keyed);
+    simd::sort_ln_pairs(keyed);
   }
 
   const int wbits = static_cast<int>(order) * block_bits;

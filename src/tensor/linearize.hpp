@@ -19,8 +19,8 @@ namespace sparta {
 
 /// True when the product of `dims` fits the 64-bit LN representation
 /// (every dim must also be positive). The cheap O(order) predicate
-/// behind check_ln_space(); shared with SparseTensor::sort()'s LN-pair
-/// fast path.
+/// behind check_ln_space(); shared with sorted_permuted_copy()'s fused
+/// LN-pair path.
 [[nodiscard]] inline bool ln_space_fits(std::span<const index_t> dims) {
   lnkey_t total = 1;
   for (index_t d : dims) {
@@ -72,6 +72,11 @@ class LinearIndexer {
 
   [[nodiscard]] std::size_t num_modes() const { return dims_.size(); }
   [[nodiscard]] const std::vector<index_t>& dims() const { return dims_; }
+
+  /// Row-major strides: mode i's index is weighted by strides()[i].
+  [[nodiscard]] const std::vector<lnkey_t>& strides() const {
+    return strides_;
+  }
 
   /// Total number of addressable positions (product of dims).
   [[nodiscard]] lnkey_t size() const { return size_; }

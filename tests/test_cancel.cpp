@@ -16,6 +16,7 @@
 
 #include "common/cancel.hpp"
 #include "common/failpoint.hpp"
+#include "common/parallel.hpp"
 #include "contraction/contract.hpp"
 #include "contraction/contract_csf.hpp"
 #include "contraction/plan.hpp"
@@ -224,6 +225,78 @@ TEST(CancelEngine, GatherOverManyRowChunksUnwindsCleanly) {
         return contract_csf(x, plan, cx, o);
       },
       "contract_csf");
+}
+
+// Stage ①'s parallel passes above the team cutoff: X's fused sorted
+// copy and the HtY build's key pass, sort and gather run on four
+// threads. A cancel observed there, and the
+// contract.input and plan.build failpoints firing inside those regions,
+// unwind through the collector to zero live registry bytes, and the
+// same inputs then contract correctly.
+TEST(CancelEngine, ParallelInputPassesUnwindCleanly) {
+  GeneratorSpec xs;
+  xs.dims = {400, 60, 60};
+  xs.nnz = 80'000;
+  xs.seed = 41;
+  GeneratorSpec ys;
+  ys.dims = {60, 60, 300};
+  ys.nnz = 80'000;
+  ys.seed = 42;
+  const SparseTensor x = generate_random(xs);
+  const SparseTensor y = generate_random(ys);
+  const Modes cx{1, 2};
+  const Modes cy{0, 1};
+  // Every pass runs on the team.
+  ASSERT_GE(x.nnz(), kParallelMinItems);
+  ASSERT_GE(y.nnz(), kParallelMinItems);
+  // contract_reference is quadratic in nnz; a one-thread run (a team
+  // of one in every pass) is the reference here.
+  ContractOptions serial;
+  serial.num_threads = 1;
+  const SparseTensor ref = contract(x, y, cx, cy, serial).z;
+
+  auto run = [&](Algorithm alg, AllocationRegistry* reg,
+                 const CancelToken& cancel) {
+    ContractOptions o;
+    o.algorithm = alg;
+    o.num_threads = 4;
+    o.registry = reg;
+    o.cancel = cancel;
+    return contract(x, y, cx, cy, o);
+  };
+  // COO-binary runs X's copy without the HtY build, and without the
+  // linear search's O(nnz_X · nnz_Y) scans.
+  for (const Algorithm alg : {Algorithm::kSparta, Algorithm::kCooBinary}) {
+    const std::string name(algorithm_name(alg));
+    // Countdowns landing in the key passes, the sorts and the gathers.
+    for (const std::uint64_t n : {2ul, 3ul, 9ul, 16ul, 30ul, 45ul}) {
+      AllocationRegistry reg;
+      const CancelToken cancel = CancelToken::make();
+      cancel.arm_after_checks(n);
+      EXPECT_THROW((void)run(alg, &reg, cancel), Cancelled)
+          << name << ", countdown " << n;
+      EXPECT_EQ(live_total(reg), 0u) << name << ", countdown " << n;
+    }
+    // Hit 1 of each site is its sequential check; later hits are the
+    // parallel passes' per-thread evaluations.
+    std::vector<const char*> sites{"contract.input"};
+    if (alg == Algorithm::kSparta) sites.push_back("plan.build");
+    for (const char* site : sites) {
+      for (const std::uint64_t hit : {2ul, 3ul, 6ul, 9ul}) {
+        AllocationRegistry reg;
+        failpoint::arm(site, {failpoint::Action::kBadAlloc, hit, 1});
+        EXPECT_THROW((void)run(alg, &reg, {}), std::bad_alloc)
+            << name << ", " << site << " hit " << hit;
+        EXPECT_EQ(failpoint::fire_count(site), 1u)
+            << name << ", " << site << " hit " << hit;
+        failpoint::disarm_all();
+        EXPECT_EQ(live_total(reg), 0u)
+            << name << ", " << site << " hit " << hit;
+      }
+    }
+    EXPECT_TRUE(SparseTensor::approx_equal(run(alg, nullptr, {}).z, ref, 1e-9))
+        << name;
+  }
 }
 
 // Countdown sweep: wherever the n-th check lands — mid table build, mid

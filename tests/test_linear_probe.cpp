@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "contraction/contract.hpp"
@@ -62,6 +64,28 @@ TEST(LinearProbe, ClearRetainsCapacity) {
   EXPECT_EQ(a.num_buckets(), cap);
   a.accumulate(7, 2.0);
   EXPECT_EQ(a.size(), 1u);
+}
+
+// clear() resets only the occupied slots, and the drain after it lists
+// exactly the new entries, in insertion order, however large the table
+// grew before.
+TEST(LinearProbe, DrainAfterClearDependsOnlyOnNewEntries) {
+  LinearProbeAccumulator grown(16);
+  for (lnkey_t k = 0; k < 5000; ++k) grown.accumulate(k * 7919, 1.0);
+  grown.clear();
+  LinearProbeAccumulator fresh(16);
+  const lnkey_t keys[] = {42, 3, 42, 1000003, 0, 3};
+  for (const lnkey_t k : keys) {
+    grown.accumulate(k, 0.5);
+    fresh.accumulate(k, 0.5);
+  }
+  std::vector<std::pair<lnkey_t, value_t>> a, b;
+  grown.drain([&](lnkey_t k, value_t v) { a.emplace_back(k, v); });
+  fresh.drain([&](lnkey_t k, value_t v) { b.emplace_back(k, v); });
+  EXPECT_EQ(a, b);
+  const std::vector<std::pair<lnkey_t, value_t>> want{
+      {42, 1.0}, {3, 1.0}, {1000003, 0.5}, {0, 0.5}};
+  EXPECT_EQ(a, want);
 }
 
 TEST(LinearProbe, KeyZeroIsUsable) {

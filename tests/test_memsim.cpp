@@ -191,6 +191,20 @@ TEST(ProfileIntegration, ContractionFillsProfile) {
   const ContractResult r = contract(pair.x, pair.y, {0, 1}, {0, 1}, o);
 
   const AccessProfile& p = r.profile;
+  // ① X is the fused sorted copy: one sequential read of the columns,
+  // 16-byte (key, position) pairs written and then read and written
+  // once per radix pass (two: 40·30·25 < 2^16), one sequential read of
+  // the sorted pairs, the gather's random row fetches (whole cache
+  // lines: n/8 accesses, a quarter of the bytes) and the sorted
+  // columns written.
+  const AccessStats& x_s1 = p.at(Stage::kInputProcessing, DataObject::kX);
+  const std::uint64_t n = r.stats.nnz_x;
+  const std::uint64_t row = 3 * sizeof(index_t) + sizeof(value_t);
+  EXPECT_EQ(x_s1.bytes_read_seq, n * (row + 16 * 2 + 16));
+  EXPECT_EQ(x_s1.bytes_written_seq, n * (16 + 16 * 2 + row));
+  EXPECT_EQ(x_s1.rand_reads, n / 8);
+  EXPECT_EQ(x_s1.bytes_read_rand, n * row / 4);
+  EXPECT_EQ(x_s1.rand_writes, 0u);
   // Table 2 row checks: HtY is random-read in index search, read-only.
   const AccessStats& hty_s2 = p.at(Stage::kIndexSearch, DataObject::kHtY);
   EXPECT_TRUE(hty_s2.reads());

@@ -1,8 +1,13 @@
 // Unit tests for the COO SparseTensor container.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
+#include <string>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "tensor/sparse_tensor.hpp"
@@ -190,6 +195,143 @@ TEST(SparseTensor, EmptyTensorBehaves) {
   t.sort();
   t.coalesce();
   EXPECT_EQ(t.nnz(), 0u);
+}
+
+// --- sorted_permuted_copy: the fused sorted copy ----------------------
+
+// Random coordinates drawn with replacement, so duplicates occur.
+SparseTensor random_with_duplicates(std::vector<index_t> dims,
+                                    std::size_t nnz, std::uint64_t seed) {
+  SparseTensor t(dims);
+  Rng rng(seed);
+  std::vector<index_t> c(dims.size());
+  for (std::size_t i = 0; i < nnz; ++i) {
+    for (std::size_t m = 0; m < dims.size(); ++m) {
+      c[m] = static_cast<index_t>(rng.uniform(dims[m]));
+    }
+    t.append_unchecked(c, rng.uniform_double(-1.0, 1.0));
+  }
+  return t;
+}
+
+// The unfused steps, with a stable lexicographic sort: equal
+// coordinates keep their input order, which is exactly what a stable
+// sort by LN key yields.
+SortedCopy unfused_copy(const SparseTensor& t, const Modes& order,
+                        std::size_t prefix_modes) {
+  SparseTensor p = t;
+  p.permute_modes(order);
+  std::vector<std::size_t> perm(p.nnz());
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  std::stable_sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
+    for (int m = 0; m < p.order(); ++m) {
+      if (p.index(a, m) != p.index(b, m)) return p.index(a, m) < p.index(b, m);
+    }
+    return false;
+  });
+  SortedCopy out;
+  out.t = SparseTensor(p.dims());
+  std::vector<index_t> c(static_cast<std::size_t>(p.order()));
+  for (std::size_t i : perm) {
+    p.coords(i, c);
+    out.t.append_unchecked(c, p.value(i));
+  }
+  out.prefix_starts.push_back(0);
+  for (std::size_t i = 1; i < out.t.nnz(); ++i) {
+    for (std::size_t m = 0; m < prefix_modes; ++m) {
+      if (out.t.index(i - 1, static_cast<int>(m)) !=
+          out.t.index(i, static_cast<int>(m))) {
+        out.prefix_starts.push_back(i);
+        break;
+      }
+    }
+  }
+  if (out.t.nnz() > 0) out.prefix_starts.push_back(out.t.nnz());
+  return out;
+}
+
+void expect_bitwise_equal(const SortedCopy& got, const SortedCopy& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.t.dims(), want.t.dims()) << what;
+  ASSERT_EQ(got.t.nnz(), want.t.nnz()) << what;
+  for (int m = 0; m < got.t.order(); ++m) {
+    const auto a = got.t.mode_indices(m);
+    const auto b = want.t.mode_indices(m);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
+        << what << ", mode " << m;
+  }
+  const auto a = got.t.values();
+  const auto b = want.t.values();
+  if (!a.empty()) {  // memcmp takes no null pointer, even for 0 bytes
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(value_t)),
+              0)
+        << what;
+  }
+  EXPECT_EQ(got.prefix_starts, want.prefix_starts) << what;
+}
+
+// Every mode order and prefix length, on one thread and on a team (the
+// 70 000-row tensor is above the team cutoff), with duplicates.
+TEST(SortedPermutedCopy, MatchesCopyPermuteSortScan) {
+  for (const std::size_t nnz : {0ul, 1ul, 700ul, 70'000ul}) {
+    const SparseTensor t = random_with_duplicates({30, 7, 20}, nnz, nnz + 1);
+    Modes order{0, 1, 2};
+    do {
+      for (std::size_t prefix = 0; prefix <= 3; ++prefix) {
+        const SortedCopy want = unfused_copy(t, order, prefix);
+        for (const int threads : {1, 4}) {
+          expect_bitwise_equal(
+              sorted_permuted_copy(t, order, prefix, threads, CancelToken{},
+                                   "test"),
+              want,
+              "nnz " + std::to_string(nnz) + ", order " +
+                  std::to_string(order[0]) + std::to_string(order[1]) +
+                  std::to_string(order[2]) + ", prefix " +
+                  std::to_string(prefix) + ", " + std::to_string(threads) +
+                  " threads");
+        }
+      }
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+}
+
+// A key space over 64 bits takes the comparison-sort fallback, which is
+// the unfused steps themselves.
+TEST(SortedPermutedCopy, WideKeySpaceFallsBackToComparisonSort) {
+  const std::vector<index_t> dims{index_t{1} << 30, 3, index_t{1} << 30,
+                                  index_t{1} << 10};
+  const SparseTensor t = random_with_duplicates(dims, 3000, 5);
+  // Duplicates, since mode 1 has three values and the rest are few.
+  SparseTensor few(dims);
+  for (std::size_t i = 0; i < t.nnz(); ++i) {
+    const index_t c[] = {t.index(i, 0) % 5, t.index(i, 1), t.index(i, 2) % 4,
+                         t.index(i, 3) % 3};
+    few.append(c, t.value(i));
+  }
+  const Modes order{2, 1, 3, 0};
+  SortedCopy want;
+  want.t = few;
+  want.t.permute_modes(order);
+  want.t.sort();
+  want.prefix_starts = unfused_copy(few, order, 2).prefix_starts;
+  for (const int threads : {1, 4}) {
+    const SortedCopy got =
+        sorted_permuted_copy(few, order, 2, threads, CancelToken{}, "test");
+    expect_bitwise_equal(got, want, std::to_string(threads) + " threads");
+    EXPECT_TRUE(got.t.is_sorted());
+  }
+}
+
+TEST(SortedPermutedCopy, RejectsBadPermutations) {
+  const SparseTensor t = small_tensor();
+  EXPECT_THROW((void)sorted_permuted_copy(t, {0, 1}, 0, 1, {}, "test"),
+               Error);
+  EXPECT_THROW((void)sorted_permuted_copy(t, {0, 0, 1}, 0, 1, {}, "test"),
+               Error);
+  EXPECT_THROW((void)sorted_permuted_copy(t, {0, 1, 3}, 0, 1, {}, "test"),
+               Error);
+  EXPECT_THROW((void)sorted_permuted_copy(t, {0, 1, 2}, 4, 1, {}, "test"),
+               Error);
 }
 
 }  // namespace
