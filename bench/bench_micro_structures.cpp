@@ -4,7 +4,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -26,12 +28,18 @@ void BM_HtyProbe(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
   std::vector<lnkey_t> keys(n);
-  std::vector<std::pair<lnkey_t, FreeItem>> pairs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = rng();
-    pairs[i] = {keys[i], {i, 1.0}};
-  }
-  const GroupedHashMap m(group_by_key(pairs), n);
+  for (auto& k : keys) k = rng();
+  const GroupedHashMap m(
+      group_by_key(n, 64, 1, {},
+                   [&](std::size_t b, std::size_t e,
+                       std::pair<lnkey_t, std::uint32_t>* pos,
+                       FreeItem* items) {
+                     for (std::size_t i = b; i < e; ++i) {
+                       pos[i] = {keys[i], static_cast<std::uint32_t>(i)};
+                       items[i] = {i, 1.0};
+                     }
+                   }),
+      n);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(m.find(keys[i]));

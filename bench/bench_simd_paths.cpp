@@ -25,9 +25,11 @@
 //   sparta_perfdiff --threshold -17% SIMD_chained.json SIMD_swiss.json
 //
 // The negative threshold makes CI fail unless swiss is >= 1.2x chained.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -157,9 +159,15 @@ int main(int argc, char** argv) {
     // by case name in sparta_perfdiff.
     const std::string label =
         table.empty() ? (swiss ? "probe_swiss" : "probe_chained") : "probe";
-    std::vector<std::pair<lnkey_t, FreeItem>> pairs(n);
-    for (std::size_t i = 0; i < n; ++i) pairs[i] = {2 * i, FreeItem{0, 1.0}};
-    HtyRuns runs = group_by_key(pairs);
+    HtyRuns runs = group_by_key(
+        n, 64, 1, {},
+        [](std::size_t b, std::size_t e,
+           std::pair<lnkey_t, std::uint32_t>* pos, FreeItem* items) {
+          for (std::size_t i = b; i < e; ++i) {
+            pos[i] = {2 * i, static_cast<std::uint32_t>(i)};
+            items[i] = FreeItem{0, 1.0};
+          }
+        });
     double secs = 0.0;
     if (swiss) {
       const simd::SwissYMap t(std::move(runs));

@@ -40,9 +40,9 @@ class YPlan {
   /// into one flat array, and each distinct key enters the table once.
   /// Every group therefore holds its items in Y storage order, and the
   /// plan's content does not depend on `num_threads`. `cancel` is
-  /// polled along the key pass (every 256 non-zeros per thread) and
-  /// once per radix pass; Cancelled unwinds before the plan object
-  /// exists, so no half-built HtY can escape.
+  /// polled along the key pass (every 4 096 non-zeros) and the sort;
+  /// Cancelled unwinds before the plan object exists, so no half-built
+  /// HtY can escape.
   YPlan(const SparseTensor& y, Modes cy, std::size_t hty_buckets = 0,
         int num_threads = 0, bool use_swiss_tables = false,
         CancelToken cancel = {});

@@ -79,9 +79,11 @@ TEST_F(ResilientTest, PlanFaultDegradesOneRung) {
   EXPECT_TRUE(SparseTensor::approx_equal(rr.result.z, ref, 1e-9));
 }
 
-// contract.input fires exactly once per contract() call, so "fail the
-// first three calls" deterministically burns the three whole-tensor
-// rungs and lands on the chunked fallback.
+// contract.input's first hit in each contract() call comes before
+// stage ①'s parallel passes (which hit it again, once per thread), and
+// each firing aborts the call at that first hit. So "fail the first
+// three hits" deterministically burns the three whole-tensor rungs and
+// lands on the chunked fallback.
 TEST_F(ResilientTest, ChunkedFallbackMatchesReference) {
   const TensorPair p = make_pair(11);
   const Modes c{0, 1};

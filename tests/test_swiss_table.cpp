@@ -14,6 +14,7 @@
 #include "hashtable/grouped_map.hpp"
 #include "simd/swiss_table.hpp"
 #include "tensor/generators.hpp"
+#include "hty_pairs.hpp"
 
 namespace sparta {
 namespace {
@@ -60,8 +61,8 @@ TEST(SwissYMap, ParityWithGroupedHashMap) {
     const lnkey_t key = rng() % 500;  // plenty of multi-item groups
     pairs.push_back({key, FreeItem{rng() % 97, static_cast<value_t>(i)}});
   }
-  const GroupedHashMap chained(group_by_key(pairs), 256);
-  const simd::SwissYMap swiss(group_by_key(pairs));
+  const GroupedHashMap chained(group_pairs(pairs), 256);
+  const simd::SwissYMap swiss(group_pairs(pairs));
   EXPECT_EQ(swiss.num_keys(), chained.num_keys());
   EXPECT_EQ(swiss.num_items(), chained.num_items());
   EXPECT_EQ(swiss.max_group_size(), chained.max_group_size());
@@ -78,7 +79,7 @@ TEST(SwissYMap, ParityWithGroupedHashMap) {
 }
 
 TEST(SwissYMap, MissReturnsEmptySpan) {
-  const simd::SwissYMap t(group_by_key({{42, FreeItem{1, 1.0}}}));
+  const simd::SwissYMap t(group_pairs({{42, FreeItem{1, 1.0}}}));
   EXPECT_TRUE(t.find(41).empty());
   EXPECT_TRUE(t.find(43).empty());
   EXPECT_EQ(t.find(42).size(), 1u);
@@ -92,7 +93,7 @@ TEST(SwissYMap, FullGroupWrapsToNextGroup) {
   for (lnkey_t k = 0; k < 28; ++k) {
     pairs.push_back({k * 1000003, FreeItem{k, static_cast<value_t>(k)}});
   }
-  const simd::SwissYMap t(group_by_key(pairs));
+  const simd::SwissYMap t(group_pairs(pairs));
   ASSERT_EQ(t.num_buckets(), 32u);
   EXPECT_EQ(t.num_keys(), 28u);
   for (lnkey_t k = 0; k < 28; ++k) {
@@ -111,7 +112,7 @@ TEST(SwissYMap, SizedExactlyFromDistinctKeys) {
     pairs.push_back({key, FreeItem{key, 1.0}});
     ++expected[key];
   }
-  const simd::SwissYMap t(group_by_key(pairs));
+  const simd::SwissYMap t(group_pairs(pairs));
   // The smallest power-of-two slot count holding every key at ≤ 7/8
   // load: the table is sized once and never grows.
   const std::size_t keys = expected.size();
@@ -130,7 +131,7 @@ TEST(SwissYMap, FootprintCoversSlotsAndItems) {
   EXPECT_GT(empty.footprint_bytes(), 0u);
   std::vector<std::pair<lnkey_t, FreeItem>> pairs;
   for (lnkey_t k = 0; k < 64; ++k) pairs.push_back({k, FreeItem{k, 1.0}});
-  const simd::SwissYMap t(group_by_key(pairs));
+  const simd::SwissYMap t(group_pairs(pairs));
   EXPECT_GT(t.footprint_bytes(), empty.footprint_bytes());
 }
 
