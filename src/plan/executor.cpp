@@ -4,11 +4,13 @@
 #include <atomic>
 #include <utility>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "tensor/sparse_tensor.hpp"
 
 namespace sparta::plan {
 
@@ -46,6 +48,7 @@ std::string PlanExecution::to_json() const {
   w.key("plan_cache_hit").value(plan_cache_hit);
   w.key("plan_seconds").value(plan_seconds);
   w.key("exec_seconds").value(exec_seconds);
+  w.key("finalize_seconds").value(finalize_seconds);
   w.key("peak_temp_bytes")
       .value(static_cast<std::uint64_t>(peak_temp_bytes));
   w.key("nnz_z").value(
@@ -131,7 +134,9 @@ PlanExecution PlanExecutor::execute(const ContractionNetwork& net,
     if (it == live_temps.end()) return;
     const serve::TensorRegistry::Handle h = svc_.tensors().try_get(name);
     if (h.valid()) live_temp_bytes -= h.tensor->footprint_bytes();
-    svc_.tensors().drop(name);
+    // Through the service, so the plan cache also drops any HtY built
+    // on the intermediate.
+    svc_.drop(name);
     live_temps.erase(it);
   };
   auto cleanup = [&] {
@@ -194,25 +199,31 @@ PlanExecution PlanExecutor::execute(const ContractionNetwork& net,
     exec.peak_temp_bytes = std::max(exec.peak_temp_bytes, step_peak);
 
     if (final_step) {
-      std::shared_ptr<const SparseTensor> z = rep.z;
-      if (!plan->final_perm.empty()) {
-        // The merge tree's free-X/free-Y ordering need not match the
-        // declared output spec; permute (and restore sorted order)
-        // once, at the end.
-        auto owned = std::make_shared<SparseTensor>(*z);
-        owned->permute_modes(plan->final_perm);
-        owned->sort();
-        z = std::move(owned);
-      }
-      exec.z = z;
-      if (!opts.store_as.empty()) {
-        try {
-          svc_.load(opts.store_as, SparseTensor(*z));
-        } catch (const std::exception& e) {
-          exec.error = std::string("storing '") + opts.store_as +
-                       "': " + e.what();
+      Timer finalize_timer;
+      obs::Span finalize_span("plan.finalize");
+      try {
+        std::shared_ptr<const SparseTensor> z = rep.z;
+        if (!plan->final_perm.empty()) {
+          // The merge tree's free-X/free-Y ordering need not match the
+          // declared output spec: one sorted copy in the output's mode
+          // order, on the calling thread.
+          z = std::make_shared<SparseTensor>(
+              sorted_permuted_copy(*z, plan->final_perm, 0, 1,
+                                   CancelToken{}, "sort.radix_pass")
+                  .t);
         }
+        exec.z = std::move(z);
+        if (!opts.store_as.empty()) {
+          svc_.load(opts.store_as, SparseTensor(*exec.z));
+        }
+      } catch (const std::exception& e) {
+        // Recorded, not thrown: the temps below are still dropped.
+        exec.error = exec.z == nullptr
+                         ? std::string("final permute: ") + e.what()
+                         : std::string("storing '") + opts.store_as +
+                               "': " + e.what();
       }
+      exec.finalize_seconds = finalize_timer.seconds();
     } else {
       try {
         const std::string temp =

@@ -45,6 +45,10 @@ struct PlanExecution {
   bool plan_cache_hit = false;
   double plan_seconds = 0.0;  ///< search (or cache lookup) wall time
   double exec_seconds = 0.0;  ///< all steps, submit to final result
+  /// The part of exec_seconds after the last step: the final permute
+  /// into the output's mode order and store_as (trace span
+  /// "plan.finalize").
+  double finalize_seconds = 0.0;
   /// Max over steps of live "__tmp/" bytes + the step's measured hash
   /// structures — the measured counterpart of NetworkPlan's
   /// est_peak_bytes.

@@ -7,7 +7,9 @@
 // so small and large requests share one scale. Feedback is kept
 // per contraction key (x|y|cx|cy): two different tensor pairs never
 // share an EWMA, so a variant that is right for one shape cannot be
-// wrong for another by association.
+// wrong for another by association. The service names a network's
+// intermediate operand in the key by its dims ("__tmp/256x256"), so
+// each step of a repeated network keeps one key.
 //
 // Cold start has two regimes:
 //   * analytic (default): any never-tried feasible variant on a key is

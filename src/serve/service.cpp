@@ -65,12 +65,31 @@ std::string modes_str(const Modes& modes) {
   return out;
 }
 
+// An operand's part of the contraction key: its registry name, except
+// that an intermediate's one-shot "__tmp/<n>" name becomes "__tmp/" and
+// its dims ("__tmp/256x256"), so every execution of a network step
+// shares one key.
+std::string operand_key(const std::string& name,
+                        const TensorRegistry::Handle& h) {
+  if (!h.valid() || !name.starts_with(TensorRegistry::kTempPrefix)) {
+    return name;
+  }
+  std::string out = TensorRegistry::kTempPrefix;
+  for (std::size_t m = 0; m < h.tensor->dims().size(); ++m) {
+    if (m > 0) out += 'x';
+    out += std::to_string(h.tensor->dims()[m]);
+  }
+  return out;
+}
+
 // The selector's EWMA scope: one entry per (operands, contract modes)
 // tuple, matching the statlog's `key` column and the regret replay's
 // oracle table.
-std::string contraction_key(const ServeRequest& req) {
-  return req.x + "|" + req.y + "|" + modes_str(req.cx) + "|" +
-         modes_str(req.cy);
+std::string contraction_key(const ServeRequest& req,
+                            const TensorRegistry::Handle& hx,
+                            const TensorRegistry::Handle& hy) {
+  return operand_key(req.x, hx) + "|" + operand_key(req.y, hy) + "|" +
+         modes_str(req.cx) + "|" + modes_str(req.cy);
 }
 
 }  // namespace
@@ -441,6 +460,7 @@ ServeReport ContractionService::execute(const ServeRequest& req,
 
   TensorRegistry::Handle hx = registry_.try_get(req.x);
   TensorRegistry::Handle hy = registry_.try_get(req.y);
+  rep.key = contraction_key(req, hx, hy);
   if (!hx.valid() || !hy.valid()) {
     rep.error = "tensor '" + (hx.valid() ? req.y : req.x) +
                 "' is not registered";
@@ -514,7 +534,7 @@ ServeReport ContractionService::execute(const ServeRequest& req,
   feats.num_contract_modes = static_cast<int>(req.cx.size());
   feats.density_x = density_of(x.nnz(), x.dims());
   feats.density_y = density_of(y.nnz(), y.dims());
-  feats.key = contraction_key(req);
+  feats.key = rep.key;
   feats.plan_cached = cached_plan;
   feats.budget_remaining = remaining == kUnlimited ? 0 : remaining;
   const Algorithm variant =
@@ -651,7 +671,11 @@ void ContractionService::log_request(const ServeRequest& req,
   }
   w.key("x").value(std::string_view(req.x));
   w.key("y").value(std::string_view(req.y));
-  w.key("key").value(std::string_view(contraction_key(req)));
+  // A request that never reached execute() (shed, dropped at
+  // shutdown) or unwound out of it has no key yet.
+  const std::string key =
+      rep.key.empty() ? contraction_key(req, hx, hy) : rep.key;
+  w.key("key").value(std::string_view(key));
   w.key("cx");
   write_modes(w, req.cx);
   w.key("cy");

@@ -135,6 +135,10 @@ struct ServeReport {
   std::uint64_t request_id = 0;
   std::string x;
   std::string y;
+  /// Contraction key (x|y|cx|cy) scoping the selector's EWMAs and the
+  /// statlog's `key` column; an intermediate "__tmp/<n>" operand
+  /// appears as "__tmp/" and its dims ("__tmp/256x256").
+  std::string key;
   Algorithm variant = Algorithm::kSparta;
   bool cache_hit = false;   ///< plan served from cache without a build
   bool plan_cached = false; ///< ran against a cache-retained plan

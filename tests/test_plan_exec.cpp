@@ -5,9 +5,12 @@
 // workload grammar's `network` statement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -235,9 +238,164 @@ TEST(PlanExecutor, ExecutionJsonIsValid) {
   const PlanExecution ex = exec.run(net);
   ASSERT_TRUE(ex.ok()) << ex.error;
   const std::string doc = ex.to_json();
-  EXPECT_TRUE(obs::json_parse(doc).has_value()) << doc;
-  EXPECT_NE(doc.find("\"plan_id\""), std::string::npos);
-  EXPECT_NE(doc.find("\"steps\""), std::string::npos);
+  const auto parsed = obs::json_parse(doc);
+  ASSERT_TRUE(parsed.has_value()) << doc;
+  EXPECT_NE(parsed->get("plan_id"), nullptr);
+  EXPECT_NE(parsed->get("steps"), nullptr);
+  // The final permute + store is its own measured part of exec time.
+  const obs::JsonValue* fin = parsed->get("finalize_seconds");
+  ASSERT_NE(fin, nullptr) << doc;
+  EXPECT_EQ(fin->number_or(-1.0), ex.finalize_seconds);
+  EXPECT_GT(ex.finalize_seconds, 0.0);
+  EXPECT_LE(ex.finalize_seconds, ex.exec_seconds);
+}
+
+// ------------------------------------- selector keys on intermediates
+
+std::vector<BoundInput> bind_inputs(ContractionService& svc,
+                                    const ContractionNetwork& net) {
+  std::vector<BoundInput> out;
+  for (const NetworkTensor& t : net.inputs) {
+    const TensorRegistry::Handle h = svc.tensors().get(t.name);
+    out.push_back({t.name, h.tensor->dims(), h.tensor->nnz(), h.id});
+  }
+  return out;
+}
+
+std::uint64_t selector_keys(const ContractionService& svc) {
+  const auto doc = obs::json_parse(svc.selector().stats_json());
+  return static_cast<std::uint64_t>(doc->get("keys")->number_or(-1.0));
+}
+
+TEST(PlanExecutor, RepeatedChainLearnsAndRunsSpartaOnRegisteredYs) {
+  ServeConfig cfg;
+  cfg.num_workers = 1;
+  ContractionService svc(cfg);
+  load_chain(svc);
+  const ContractionNetwork net = parse_network(kChain);
+  const std::size_t n = net.inputs.size();
+  PlanExecutor exec(svc);
+  // Warm-up: the explore-first round tries COOY+SPA, then COOY+HtA,
+  // then HtY+HtA on each step's key.
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(exec.run(net).ok());
+  std::uint64_t keys = 0;
+  for (int i = 0; i < 21; ++i) {
+    const PlanExecution ex = exec.run(net);
+    ASSERT_TRUE(ex.ok()) << ex.error;
+    ASSERT_EQ(ex.steps.size(), ex.plan->steps.size());
+    bool registered_y = false;
+    for (std::size_t k = 0; k < ex.steps.size(); ++k) {
+      const serve::ServeReport& rep = ex.steps[k];
+      // An intermediate operand is keyed by its dims, not its name.
+      for (const std::string& name : {rep.x, rep.y}) {
+        if (name.starts_with(TensorRegistry::kTempPrefix)) {
+          EXPECT_EQ(rep.key.find(name), std::string::npos) << rep.key;
+          EXPECT_NE(rep.key.find("__tmp/24x"), std::string::npos)
+              << rep.key;
+        }
+      }
+      if (ex.plan->steps[k].y >= n) continue;
+      registered_y = true;
+      EXPECT_EQ(rep.variant, Algorithm::kSparta)
+          << "execution " << i << " step " << k << " key " << rep.key;
+      EXPECT_TRUE(rep.plan_cached) << "execution " << i << " step " << k;
+    }
+    EXPECT_TRUE(registered_y);
+    if (i == 0) keys = selector_keys(svc);
+  }
+  // One key per step, however often the network runs.
+  EXPECT_EQ(keys, 2u);
+  EXPECT_EQ(selector_keys(svc), keys);
+}
+
+TEST(PlanExecutor, DroppedTempsReleaseTheirCachedPlans) {
+  ServeConfig cfg;
+  cfg.num_workers = 1;
+  ContractionService svc(cfg);
+  svc.load("A", make_tensor({64, 64}, 300, 31));
+  svc.load("B", make_tensor({64, 64}, 300, 32));
+  svc.load("C", make_tensor({64, 64}, 300, 33));
+  svc.load("D", make_tensor({64, 64}, 300, 34));
+  const ContractionNetwork net =
+      parse_network("Z[i,m] = A[i,j] * B[j,k] * C[k,l] * D[l,m]");
+  const std::size_t n = net.inputs.size();
+  // A bushy plan, (A B)(C D): its last step's Y is an intermediate, so
+  // a forced HtY+HtA builds (and the cache retains) a table on it.
+  std::shared_ptr<const NetworkPlan> bushy;
+  for (NetworkPlan& p : enumerate_plans(net, bind_inputs(svc, net))) {
+    if (p.steps.back().x >= n && p.steps.back().y >= n) {
+      bushy = std::make_shared<NetworkPlan>(std::move(p));
+      break;
+    }
+  }
+  ASSERT_NE(bushy, nullptr);
+  PlanExecutor exec(svc);
+  ExecOptions opts;
+  opts.force_variant = true;
+  opts.variant = Algorithm::kSparta;
+  ASSERT_TRUE(exec.run_plan(net, bushy, opts).ok());
+  const serve::PlanCache::Stats first = svc.cache_stats();
+  for (int i = 0; i < 4; ++i) {
+    const PlanExecution ex = exec.run_plan(net, bushy, opts);
+    ASSERT_TRUE(ex.ok()) << ex.error;
+  }
+  const serve::PlanCache::Stats last = svc.cache_stats();
+  EXPECT_EQ(last.entries, first.entries);
+  EXPECT_EQ(last.retained_bytes, first.retained_bytes);
+  EXPECT_EQ(svc.tensors().names().size(), 4u);
+}
+
+// ------------------------------------------------ final permute
+
+// The executor's one-pass final permute against the three steps it
+// replaces: copy, permute_modes, sort.
+void expect_final_permute_bitwise(ContractionService& svc,
+                                  const char* expr,
+                                  std::vector<std::size_t> order) {
+  SCOPED_TRACE(expr);
+  const ContractionNetwork net = parse_network(expr);
+  auto plan = std::make_shared<NetworkPlan>(
+      plan_fixed_order(net, bind_inputs(svc, net), order));
+  ASSERT_FALSE(plan->final_perm.empty());
+  PlanExecutor exec(svc);
+  const PlanExecution ex = exec.run_plan(net, plan);
+  ASSERT_TRUE(ex.ok()) << ex.error;
+  ASSERT_NE(ex.steps.back().z, nullptr);
+  SparseTensor ref(*ex.steps.back().z);
+  ref.permute_modes(plan->final_perm);
+  ref.sort();
+  ASSERT_GT(ref.nnz(), 0u);
+  EXPECT_EQ(ex.z->dims(), ref.dims());
+  for (int m = 0; m < ref.order(); ++m) {
+    EXPECT_TRUE(std::ranges::equal(ex.z->mode_indices(m),
+                                   ref.mode_indices(m)))
+        << "mode " << m;
+  }
+  ASSERT_EQ(ex.z->nnz(), ref.nnz());
+  EXPECT_EQ(std::memcmp(ex.z->values().data(), ref.values().data(),
+                        ref.nnz() * sizeof(value_t)),
+            0);
+}
+
+TEST(PlanExecutor, FinalPermuteIsBitwiseEqualToPermuteThenSort) {
+  ServeConfig cfg;
+  cfg.num_workers = 1;
+  ContractionService svc(cfg);
+  svc.load("A", make_tensor({40, 30}, 300, 41));
+  svc.load("B", make_tensor({30, 50}, 300, 42));
+  svc.load("T", make_tensor({30, 12, 9}, 600, 43));
+  // Between two inputs the planner hashes the smaller (on a tie, the
+  // first) as Y, so each step yields (free X, free Y) = the declared
+  // output's modes rotated. A 2-mode transpose: the step yields (k,i).
+  expect_final_permute_bitwise(svc, "Z[i,k] = A[i,j] * B[j,k]", {0, 1});
+  // 3 modes: the step yields (k,l,i).
+  expect_final_permute_bitwise(svc, "Z[i,k,l] = A[i,j] * T[j,k,l]",
+                               {0, 1});
+  // An output LN space of 2^66 cells: the comparison-sort fallback.
+  svc.load("H", make_tensor({1u << 22, 8}, 200, 44));
+  svc.load("G", make_tensor({8, 1u << 22, 1u << 22}, 200, 45));
+  expect_final_permute_bitwise(svc, "Z[i,k,l] = H[i,j] * G[j,k,l]",
+                               {0, 1});
 }
 
 // ----------------------------------------------------- statlog stamps

@@ -15,7 +15,8 @@
 // prediction when one was serving — model drift is visible without
 // running the autotuner.
 //
-// Regret: requests are grouped by contraction key (x|y|cx|cy); within a
+// Regret: requests are grouped by contraction key (the record's `key`,
+// x|y|cx|cy with an intermediate named by its dims); within a
 // group each variant's median exec time is computed, and a variant's
 // regret is its median minus the best median in the group — "how much
 // slower than the best decision we have evidence for". The summary
@@ -123,9 +124,15 @@ bool parse_record(const std::string& line, std::size_t lineno,
   if (outcome == nullptr || !outcome->is_string()) {
     return fail("missing outcome");
   }
-  out.key = x->str_v + "|" + y->str_v + "|" +
-            modes_string(doc->get("cx")) + "|" +
-            modes_string(doc->get("cy"));
+  // The service's own key names a network intermediate by its dims, so
+  // every execution of a step falls in one group; rebuilt from the
+  // operand names for records without one.
+  const JsonValue* key = doc->get("key");
+  out.key = key != nullptr && key->is_string()
+                ? key->str_v
+                : x->str_v + "|" + y->str_v + "|" +
+                      modes_string(doc->get("cx")) + "|" +
+                      modes_string(doc->get("cy"));
   out.variant = variant->str_v;
   out.outcome = outcome->str_v;
   out.cache_hit = doc->get("cache_hit") != nullptr &&
