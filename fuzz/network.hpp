@@ -3,9 +3,11 @@
 //
 // Each seed draws a small random connected tensor network (3–4
 // operands, dims 2–8, a few dozen non-zeros each) whose values are
-// small exact integers, then executes EVERY legal contraction order
-// (plan::enumerate_plans) plus the planner's own searched order through
-// a private ContractionService. Because every value, product and
+// small exact integers, then executes EVERY legal contraction order,
+// in each orientation the planner may choose (plan::enumerate_plans:
+// presorted and re-sorted X, permuting and non-permuting roots), plus
+// the planner's own searched order through a private
+// ContractionService. Because every value, product and
 // partial sum stays far below 2^53, floating-point arithmetic is exact
 // and all orders must produce BITWISE identical results — any
 // divergence is a real bug in the planner's step emission (cx/cy/perm

@@ -170,10 +170,15 @@ std::size_t run_end(const SparseTensor& y, std::size_t m,
 // a one-compare loop, and the other columns are read only on a tie. At
 // each of four code alignments tried, that ran 1.1–2.8× faster than
 // comparing the m columns in turn for every row (one thread, 150 000-row
-// Y, 4-vCPU VM).
-RowRange coo_linear_search(const SparseTensor& y, std::size_t m,
-                           std::span<const index_t> target,
-                           std::uint64_t& scanned) {
+// Y, 4-vCPU VM). The function is pinned to a 64-byte boundary, so edits
+// elsewhere in the library do not move its loop: after a 1.1 kB change
+// in another object shifted it from 32 to 48 mod 64, serve_repeated_y's
+// set-up, 16 COO requests on 60k–150k-row Ys, read 1.0 → 1.55 s; pinned,
+// 0.84–0.96 s against the unshifted build's 0.94–1.02 s.
+[[gnu::aligned(64)]] RowRange coo_linear_search(const SparseTensor& y,
+                                                std::size_t m,
+                                                std::span<const index_t> target,
+                                                std::uint64_t& scanned) {
   const std::span<const index_t> lead = y.mode_indices(0);
   const std::size_t n = lead.size();
   std::size_t i = 0;

@@ -192,10 +192,12 @@ PlanExecution PlanExecutor::execute(const ContractionNetwork& net,
     }
 
     // Measured peak: operand/working temps were live while the step's
-    // hash structures and result existed simultaneously.
+    // HtA and result existed simultaneously. An HtY counts only when
+    // built on an intermediate: a registered Y's stays in the service's
+    // plan cache, whichever request built it.
     const std::size_t step_peak =
-        live_temp_bytes + rep.z->footprint_bytes() + rep.stats.hty_bytes +
-        rep.stats.hta_bytes;
+        live_temp_bytes + rep.z->footprint_bytes() +
+        (step.y >= n ? rep.stats.hty_bytes : 0) + rep.stats.hta_bytes;
     exec.peak_temp_bytes = std::max(exec.peak_temp_bytes, step_peak);
 
     if (final_step) {

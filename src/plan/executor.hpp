@@ -49,9 +49,10 @@ struct PlanExecution {
   /// into the output's mode order and store_as (trace span
   /// "plan.finalize").
   double finalize_seconds = 0.0;
-  /// Max over steps of live "__tmp/" bytes + the step's measured hash
-  /// structures — the measured counterpart of NetworkPlan's
-  /// est_peak_bytes.
+  /// Max over steps of live "__tmp/" bytes + the step's result and
+  /// HtA, + its HtY when Y is an intermediate (a registered Y's HtY is
+  /// retained by the service's plan cache, not a temp) — the measured
+  /// counterpart of NetworkPlan's est_peak_bytes.
   std::size_t peak_temp_bytes = 0;
   std::shared_ptr<const NetworkPlan> plan;
   std::vector<serve::ServeReport> steps;

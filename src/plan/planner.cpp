@@ -23,6 +23,12 @@ constexpr std::size_t kMaxOperands = 64;
 constexpr std::size_t kMaxLabels = 64;
 constexpr std::size_t kMaxEnumerateOperands = 6;
 constexpr double kInfCost = std::numeric_limits<double>::infinity();
+/// Result layouts the search keeps per subset (the cheapest). Small
+/// networks reach fewer, so their search stays exact.
+constexpr std::size_t kMaxLayoutsPerSubset = 16;
+
+/// A subtree result's mode order, as label ids.
+using Layout = std::vector<std::uint8_t>;
 
 [[nodiscard]] int popcount(Mask m) {
   int n = 0;
@@ -64,6 +70,8 @@ struct Ctx {
   std::vector<Mask> label_users;       // which inputs use each label
   std::vector<LabelMask> input_labels; // which labels each input uses
   std::vector<double> input_space;     // product of the input's dims
+  std::vector<Layout> input_layout;    // each input's labels, in order
+  Layout output_layout;                // the declared output's labels
 };
 
 Ctx make_ctx(const ContractionNetwork& net,
@@ -85,6 +93,7 @@ Ctx make_ctx(const ContractionNetwork& net,
   ctx.opts = opts;
   ctx.input_labels.resize(inputs.size());
   ctx.input_space.resize(inputs.size(), 1.0);
+  ctx.input_layout.resize(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const NetworkTensor& t = net.inputs[i];
     const BoundInput& b = inputs[i];
@@ -123,10 +132,16 @@ Ctx make_ctx(const ContractionNetwork& net,
                       " elsewhere");
         }
       }
+      ctx.input_layout[i].push_back(static_cast<std::uint8_t>(li));
       ctx.label_users[li] |= Mask{1} << i;
       ctx.input_labels[i] |= LabelMask{1} << li;
       ctx.input_space[i] *= static_cast<double>(b.dims[m]);
     }
+  }
+  for (const std::string& l : net.output_labels) {
+    ctx.output_layout.push_back(static_cast<std::uint8_t>(
+        std::find(ctx.labels.begin(), ctx.labels.end(), l) -
+        ctx.labels.begin()));
   }
   return ctx;
 }
@@ -171,9 +186,38 @@ Ctx make_ctx(const ContractionNetwork& net,
   return std::min(free_space, raw / contracted);
 }
 
-/// Metrics of one candidate pairwise merge, oriented and costed.
+/// True when the contract labels trail every free label of X's layout:
+/// stage ①'s [free…, contract…] order is then X's own, and a sorted X
+/// needs a scan instead of a sort.
+[[nodiscard]] bool contract_labels_trail(const Layout& lx,
+                                         LabelMask shared) {
+  bool contract_seen = false;
+  for (const std::uint8_t l : lx) {
+    if ((shared >> l) & 1) {
+      contract_seen = true;
+    } else if (contract_seen) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The layout the engine gives a merge's result: X's free labels, then
+/// Y's, each in its operand's order.
+[[nodiscard]] Layout merged_layout(const Layout& lx, const Layout& ly,
+                                   LabelMask shared) {
+  Layout out;
+  for (const Layout* side : {&lx, &ly}) {
+    for (const std::uint8_t l : *side) {
+      if (((shared >> l) & 1) == 0) out.push_back(l);
+    }
+  }
+  return out;
+}
+
+/// Metrics of one candidate pairwise merge, costed for a given
+/// orientation.
 struct StepEst {
-  bool a_is_y = false;  ///< orientation: which side feeds HtY
   double seconds = 0.0;
   std::size_t bytes = 0;       ///< full working set of the step
   std::size_t hash_bytes = 0;  ///< transient Eq.5 + Eq.6 share of bytes
@@ -181,28 +225,13 @@ struct StepEst {
   int num_contract = 0;
 };
 
-StepEst cost_step(const Ctx& ctx, Mask a, Mask b, double nnz_a,
-                  double nnz_b, double nnz_out) {
-  const LabelMask la = result_labels(ctx, a);
-  const LabelMask lb = result_labels(ctx, b);
-  const LabelMask shared = la & lb;
+StepEst cost_step(const Ctx& ctx, Mask x, Mask y, double nnz_x,
+                  double nnz_y, double nnz_out, bool x_presorted) {
+  const LabelMask lx = result_labels(ctx, x);
+  const LabelMask ly = result_labels(ctx, y);
+  const LabelMask shared = lx & ly;
   StepEst est;
   est.num_contract = popcount(shared);
-  // Orientation: prefer the persistent original input on the Y side so
-  // the service's HtY PlanCache can amortize across requests; between
-  // two peers, hash the smaller operand. Ties break on the lower mask
-  // for determinism.
-  const bool a_single = popcount(a) == 1;
-  const bool b_single = popcount(b) == 1;
-  if (a_single != b_single) {
-    est.a_is_y = a_single;
-  } else {
-    est.a_is_y = nnz_a < nnz_b || (nnz_a == nnz_b && a < b);
-  }
-  const double nnz_x = est.a_is_y ? nnz_b : nnz_a;
-  const double nnz_y = est.a_is_y ? nnz_a : nnz_b;
-  const LabelMask lx = est.a_is_y ? lb : la;
-  const LabelMask ly = est.a_is_y ? la : lb;
   const int order_x = popcount(lx);
   const int order_y = popcount(ly);
   const int num_free_y = order_y - est.num_contract;
@@ -252,27 +281,28 @@ StepEst cost_step(const Ctx& ctx, Mask a, Mask b, double nnz_a,
     // multiply once, every output non-zero once.
     seconds = 1e-8 * (nnz_x + nnz_y + multiplies + nnz_out);
   }
+  // Stage ① sorts X unless it already arrives in its order.
+  if (!x_presorted) seconds += kSortedPassSecondsPerNnz * nnz_x;
   est.seconds = seconds;
   return est;
 }
 
-/// Per-subtree annotation shared by the DP and the emitters.
+/// Per-subtree annotation shared by the search and the emitter.
 struct SubInfo {
   double est_nnz = 0.0;
   std::size_t temp_bytes = 0;  ///< COO bytes of the intermediate (0: leaf)
   std::size_t peak = 0;        ///< Sethi–Ullman peak of intermediates
   double seconds = 0.0;        ///< total predicted seconds of the subtree
-  bool a_first = true;         ///< evaluate the `a` side first
+  bool x_first = true;         ///< evaluate the X side first
 };
 
 /// Computes a subtree's annotation from its two annotated children.
 /// The peak recurrence considers both evaluation orders: whichever
 /// subtree runs second does so with the first one's result resident.
-SubInfo combine(const Ctx& ctx, Mask a, Mask b, const SubInfo& ia,
-                const SubInfo& ib, const StepEst& step) {
+SubInfo combine(const Ctx& ctx, Mask s, double nnz_out, const SubInfo& ix,
+                const SubInfo& iy, const StepEst& step) {
   SubInfo out;
-  const Mask s = a | b;
-  out.est_nnz = subset_est_nnz(ctx, s);
+  out.est_nnz = nnz_out;
   const bool is_root = s == (Mask{1} << ctx.inputs->size()) - 1;
   // The root result is the request's Z (returned / stored under its own
   // name), not a "__tmp/" intermediate — it does not count toward the
@@ -281,55 +311,171 @@ SubInfo combine(const Ctx& ctx, Mask a, Mask b, const SubInfo& ia,
       is_root ? 0
               : coo_bytes(out.est_nnz, popcount(result_labels(ctx, s)));
   const std::size_t live_at_merge =
-      ia.temp_bytes + ib.temp_bytes + step.hash_bytes + out.temp_bytes;
-  const std::size_t a_first_peak =
-      std::max(ia.peak, ia.temp_bytes + ib.peak);
-  const std::size_t b_first_peak =
-      std::max(ib.peak, ib.temp_bytes + ia.peak);
-  out.a_first = a_first_peak <= b_first_peak;
+      ix.temp_bytes + iy.temp_bytes + step.hash_bytes + out.temp_bytes;
+  const std::size_t x_first_peak =
+      std::max(ix.peak, ix.temp_bytes + iy.peak);
+  const std::size_t y_first_peak =
+      std::max(iy.peak, iy.temp_bytes + ix.peak);
+  out.x_first = x_first_peak <= y_first_peak;
   out.peak =
-      std::max(live_at_merge, std::min(a_first_peak, b_first_peak));
-  out.seconds = ia.seconds + ib.seconds + step.seconds;
+      std::max(live_at_merge, std::min(x_first_peak, y_first_peak));
+  out.seconds = ix.seconds + iy.seconds + step.seconds;
   return out;
 }
 
-[[nodiscard]] SubInfo leaf_info(const Ctx& ctx, std::size_t i) {
+/// One way to contract a subset: its annotation, its result's layout,
+/// and the root step and child states that reach it. The search keeps
+/// one State per (subset, layout).
+struct State {
   SubInfo info;
-  info.est_nnz = static_cast<double>((*ctx.inputs)[i].nnz);
-  return info;
+  Layout layout;
+  StepEst step;                ///< the root step (leaf: unused)
+  Mask x = 0;                  ///< X side of the root step; 0 = leaf
+  std::uint32_t x_state = 0;   ///< the X side's chosen State
+  std::uint32_t y_state = 0;   ///< the Y side's chosen State
+  bool x_presorted = false;
+  Mask split = 0;              ///< the side holding the lowest operand
+  bool legacy = true;          ///< the orientation "hash the smaller" picks
+};
+using States = std::vector<State>;
+
+[[nodiscard]] State leaf_state(const Ctx& ctx, std::size_t i) {
+  State st;
+  st.info.est_nnz = static_cast<double>((*ctx.inputs)[i].nnz);
+  st.layout = ctx.input_layout[i];
+  return st;
 }
 
-/// A full plan shape: for every internal subset, the chosen `a` side.
-using SplitMap = std::map<Mask, Mask>;
+/// Merges X state `sx` with Y state `sy` into the subset x|y, whose
+/// result is expected to hold `nnz_out` non-zeros. At the root, a
+/// layout other than the declared output adds the final permute.
+State merge(const Ctx& ctx, Mask x, Mask y, const State& sx,
+            std::uint32_t x_state, const State& sy, std::uint32_t y_state,
+            double nnz_out) {
+  const Mask s = x | y;
+  const LabelMask shared = result_labels(ctx, x) & result_labels(ctx, y);
+  State out;
+  out.x = x;
+  out.x_state = x_state;
+  out.y_state = y_state;
+  out.x_presorted = contract_labels_trail(sx.layout, shared);
+  out.layout = merged_layout(sx.layout, sy.layout, shared);
+  out.step = cost_step(ctx, x, y, sx.info.est_nnz, sy.info.est_nnz,
+                       nnz_out, out.x_presorted);
+  if (s == (Mask{1} << ctx.inputs->size()) - 1 &&
+      out.layout != ctx.output_layout) {
+    out.step.seconds += kSortedPassSecondsPerNnz * nnz_out;
+  }
+  out.info = combine(ctx, s, nnz_out, sx.info, sy.info, out.step);
+  out.split = (x & s & (~s + 1)) != 0 ? x : y;
+  const bool peers = (popcount(x) == 1) == (popcount(y) == 1);
+  out.legacy = !peers || sy.info.est_nnz < sx.info.est_nnz ||
+               (sy.info.est_nnz == sx.info.est_nnz && y < x);
+  return out;
+}
 
-/// Turns a split map into the final NetworkPlan: annotates each
+/// Strict preference between two states of one subset: cheaper, then
+/// smaller peak, then the lower split mask, then the orientation that
+/// hashes the smaller operand (on a tie, the lower mask).
+[[nodiscard]] bool better(const State& c, const State& e) {
+  if (c.info.seconds != e.info.seconds) {
+    return c.info.seconds < e.info.seconds;
+  }
+  if (c.info.peak != e.info.peak) return c.info.peak < e.info.peak;
+  if (c.split != e.split) return c.split < e.split;
+  return c.legacy && !e.legacy;
+}
+
+/// Keeps `cand` if no state of the subset with its layout is at least
+/// as good, and at most kMaxLayoutsPerSubset states in all.
+void keep(States& states, State&& cand) {
+  for (State& e : states) {
+    if (e.layout != cand.layout) continue;
+    if (better(cand, e)) e = std::move(cand);
+    return;
+  }
+  states.push_back(std::move(cand));
+  if (states.size() > kMaxLayoutsPerSubset) {
+    states.erase(std::max_element(states.begin(), states.end(), better));
+  }
+}
+
+[[nodiscard]] std::uint32_t best_state(const States& states) {
+  return static_cast<std::uint32_t>(
+      std::min_element(states.begin(), states.end(), better) -
+      states.begin());
+}
+
+/// Adds to `out` every state of the split {a, b}: each admissible
+/// orientation over every pair of child states. An input merged with
+/// an intermediate is always Y (its HtY stays in the service's plan
+/// cache); between peers both orientations compete. Candidates whose
+/// peak exceeds a non-zero `budget` are dropped. Returns whether any
+/// candidate fit.
+bool add_split(const Ctx& ctx, Mask a, Mask b, const States& sa,
+               const States& sb, double nnz_out, std::size_t budget,
+               States& out) {
+  bool fit = false;
+  auto orient = [&](Mask x, Mask y, const States& sx, const States& sy) {
+    for (std::uint32_t i = 0; i < sx.size(); ++i) {
+      for (std::uint32_t j = 0; j < sy.size(); ++j) {
+        State c = merge(ctx, x, y, sx[i], i, sy[j], j, nnz_out);
+        if (budget != 0 && c.info.peak > budget) continue;
+        fit = true;
+        keep(out, std::move(c));
+      }
+    }
+  };
+  const bool peers = (popcount(a) == 1) == (popcount(b) == 1);
+  if (peers || popcount(b) == 1) orient(a, b, sa, sb);
+  if (peers || popcount(a) == 1) orient(b, a, sb, sa);
+  return fit;
+}
+
+/// A full plan shape: for every internal subset, its root step's X side.
+using XSides = std::map<Mask, Mask>;
+
+/// The X sides of the plan that ends in state `k` of `full`, following
+/// each state's chosen children. `states_of(s)` returns s's states.
+template <typename StatesOf>
+XSides chosen_sides(const StatesOf& states_of, Mask full, std::uint32_t k) {
+  XSides xs;
+  auto collect = [&](auto&& self, Mask s, std::uint32_t i) -> void {
+    const State& st = states_of(s)[i];
+    if (st.x == 0) return;
+    xs[s] = st.x;
+    self(self, st.x, st.x_state);
+    self(self, s ^ st.x, st.y_state);
+  };
+  collect(collect, full, k);
+  return xs;
+}
+
+/// Turns a plan shape into the final NetworkPlan: annotates each
 /// subtree, emits steps in the chosen evaluation order, resolves
 /// contract-mode positions and the final output permutation.
-NetworkPlan emit_plan(const Ctx& ctx, const SplitMap& splits,
+NetworkPlan emit_plan(const Ctx& ctx, const XSides& xs,
                       const std::string& search) {
   const std::size_t n = ctx.inputs->size();
   NetworkPlan plan;
   plan.search = search;
 
-  std::map<Mask, SubInfo> info;
-  // Annotate bottom-up (recursive lambda via explicit stack-free
-  // recursion).
-  auto annotate = [&](auto&& self, Mask s) -> const SubInfo& {
+  std::map<Mask, State> info;
+  auto annotate = [&](auto&& self, Mask s) -> const State& {
     const auto it = info.find(s);
     if (it != info.end()) return it->second;
     if (popcount(s) == 1) {
       std::size_t i = 0;
       while ((s & (Mask{1} << i)) == 0) ++i;
-      return info.emplace(s, leaf_info(ctx, i)).first->second;
+      return info.emplace(s, leaf_state(ctx, i)).first->second;
     }
-    const Mask a = splits.at(s);
-    const Mask b = s ^ a;
-    const SubInfo& ia = self(self, a);
-    const SubInfo& ib = self(self, b);
-    const StepEst step =
-        cost_step(ctx, a, b, ia.est_nnz, ib.est_nnz, subset_est_nnz(ctx, s));
-    const SubInfo combined = combine(ctx, a, b, ia, ib, step);
-    return info.emplace(s, combined).first->second;
+    const Mask x = xs.at(s);
+    const State& sx = self(self, x);
+    const State& sy = self(self, s ^ x);
+    return info
+        .emplace(s, merge(ctx, x, s ^ x, sx, 0, sy, 0,
+                          subset_est_nnz(ctx, s)))
+        .first->second;
   };
   const Mask full = (Mask{1} << n) - 1;
   annotate(annotate, full);
@@ -353,23 +499,16 @@ NetworkPlan emit_plan(const Ctx& ctx, const SplitMap& splits,
       node.dims = (*ctx.inputs)[i].dims;
       return node;
     }
-    const Mask a = splits.at(s);
-    const Mask b = s ^ a;
-    const SubInfo& si = info.at(s);
-    Node na, nb;
-    if (si.a_first) {
-      na = self(self, a);
-      nb = self(self, b);
+    const Mask x = xs.at(s);
+    const State& st = info.at(s);
+    Node nx, ny;
+    if (st.info.x_first) {
+      nx = self(self, x);
+      ny = self(self, s ^ x);
     } else {
-      nb = self(self, b);
-      na = self(self, a);
+      ny = self(self, s ^ x);
+      nx = self(self, x);
     }
-    const SubInfo& ia = info.at(a);
-    const SubInfo& ib = info.at(b);
-    const StepEst step =
-        cost_step(ctx, a, b, ia.est_nnz, ib.est_nnz, si.est_nnz);
-    const Node& nx = step.a_is_y ? nb : na;
-    const Node& ny = step.a_is_y ? na : nb;
 
     PlanStepSpec spec;
     spec.x = nx.id;
@@ -397,9 +536,10 @@ NetworkPlan emit_plan(const Ctx& ctx, const SplitMap& splits,
     };
     push_free(nx, ny);
     push_free(ny, nx);
-    spec.est_nnz = step.est_out_nnz;
-    spec.est_bytes = step.bytes;
-    spec.est_seconds = step.seconds;
+    spec.x_presorted = st.x_presorted;
+    spec.est_nnz = st.step.est_out_nnz;
+    spec.est_bytes = st.step.bytes;
+    spec.est_seconds = st.step.seconds;
 
     Node node;
     node.id = n + plan.steps.size();
@@ -411,8 +551,8 @@ NetworkPlan emit_plan(const Ctx& ctx, const SplitMap& splits,
   };
   const Node root = emit(emit, full);
 
-  plan.est_total_seconds = info.at(full).seconds;
-  plan.est_peak_bytes = info.at(full).peak;
+  plan.est_total_seconds = info.at(full).info.seconds;
+  plan.est_peak_bytes = info.at(full).info.peak;
 
   // Map the declared output-label order onto the last step's order.
   bool identity = root.labels.size() == ctx.net->output_labels.size();
@@ -436,6 +576,11 @@ std::string NetworkPlan::to_json() const {
   w.begin_object();
   w.key("search").value(std::string_view(search));
   w.key("num_steps").value(static_cast<std::uint64_t>(steps.size()));
+  auto modes = [&](const char* key, const Modes& m) {
+    w.key(key).begin_array();
+    for (const int v : m) w.value(v);
+    w.end_array();
+  };
   w.key("steps").begin_array();
   for (std::size_t k = 0; k < steps.size(); ++k) {
     const PlanStepSpec& s = steps[k];
@@ -443,13 +588,9 @@ std::string NetworkPlan::to_json() const {
     w.key("step_index").value(static_cast<std::uint64_t>(k));
     w.key("x").value(std::string_view(s.x_name));
     w.key("y").value(std::string_view(s.y_name));
-    auto modes = [&](const char* key, const Modes& m) {
-      w.key(key).begin_array();
-      for (const int v : m) w.value(v);
-      w.end_array();
-    };
     modes("cx", s.cx);
     modes("cy", s.cy);
+    w.key("x_presorted").value(s.x_presorted);
     w.key("out_labels").begin_array();
     for (const std::string& l : s.out_labels) w.value(std::string_view(l));
     w.end_array();
@@ -459,6 +600,7 @@ std::string NetworkPlan::to_json() const {
     w.end_object();
   }
   w.end_array();
+  modes("final_perm", final_perm);
   w.key("est_total_seconds").value(est_total_seconds);
   w.key("est_peak_bytes").value(static_cast<std::uint64_t>(est_peak_bytes));
   w.key("rejected_alternatives").value(rejected_alternatives);
@@ -472,53 +614,51 @@ NetworkPlan plan_network(const ContractionNetwork& net,
                          const PlanOptions& opts) {
   const Ctx ctx = make_ctx(net, inputs, opts);
   const std::size_t n = inputs.size();
+  const Mask full = (Mask{1} << n) - 1;
 
   if (n > kMaxDpOperands) {
     // Greedy cheapest-connected-merge fallback: no optimality claim,
-    // but linear-ish in merges and deterministic.
+    // but linear-ish in merges and deterministic. Each merge keeps its
+    // cheapest orientation.
     struct Live {
       Mask mask;
-      SubInfo info;
+      State st;
     };
     std::vector<Live> live;
     for (std::size_t i = 0; i < n; ++i) {
-      live.push_back({Mask{1} << i, leaf_info(ctx, i)});
+      live.push_back({Mask{1} << i, leaf_state(ctx, i)});
     }
-    SplitMap splits;
+    XSides xs;
     std::uint64_t considered = 0;
     while (live.size() > 1) {
       double best_cost = kInfCost;
       std::size_t bi = 0, bj = 0;
+      State best;
       for (std::size_t i = 0; i < live.size(); ++i) {
         for (std::size_t j = i + 1; j < live.size(); ++j) {
-          const LabelMask shared = result_labels(ctx, live[i].mask) &
-                                   result_labels(ctx, live[j].mask);
-          if (shared == 0) continue;
+          const Mask a = live[i].mask;
+          const Mask b = live[j].mask;
+          if ((result_labels(ctx, a) & result_labels(ctx, b)) == 0) continue;
           ++considered;
-          const StepEst step = cost_step(
-              ctx, live[i].mask, live[j].mask, live[i].info.est_nnz,
-              live[j].info.est_nnz,
-              subset_est_nnz(ctx, live[i].mask | live[j].mask));
-          if (step.seconds < best_cost) {
-            best_cost = step.seconds;
-            bi = i;
-            bj = j;
+          States cands;
+          (void)add_split(ctx, a, b, {live[i].st}, {live[j].st},
+                          subset_est_nnz(ctx, a | b), 0, cands);
+          for (State& c : cands) {
+            if (c.step.seconds < best_cost) {
+              best_cost = c.step.seconds;
+              bi = i;
+              bj = j;
+              best = std::move(c);
+            }
           }
         }
       }
       SPARTA_ASSERT(best_cost != kInfCost);  // network is connected
-      const Mask a = live[bi].mask;
-      const Mask b = live[bj].mask;
-      const StepEst step =
-          cost_step(ctx, a, b, live[bi].info.est_nnz, live[bj].info.est_nnz,
-                    subset_est_nnz(ctx, a | b));
-      Live merged{a | b,
-                  combine(ctx, a, b, live[bi].info, live[bj].info, step)};
-      splits[a | b] = a;
+      xs[live[bi].mask | live[bj].mask] = best.x;
+      live[bi] = {live[bi].mask | live[bj].mask, std::move(best)};
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(bj));
-      live[bi] = std::move(merged);
     }
-    NetworkPlan plan = emit_plan(ctx, splits, "greedy");
+    NetworkPlan plan = emit_plan(ctx, xs, "greedy");
     plan.rejected_alternatives = considered - (n - 1);
     if (opts.budget_bytes != 0 && plan.est_peak_bytes > opts.budget_bytes) {
       throw Error(
@@ -529,26 +669,18 @@ NetworkPlan plan_network(const ContractionNetwork& net,
     return plan;
   }
 
-  // Exact bitmask DP over connected subsets. dp[s] holds the cheapest
-  // way to fully contract subset s; infeasible subsets (disconnected,
-  // or every candidate over budget) stay at infinite cost.
-  const Mask full = (Mask{1} << n) - 1;
-  struct DpEntry {
-    double cost = kInfCost;
-    Mask split = 0;
-    SubInfo info;
-  };
-  std::vector<DpEntry> dp(static_cast<std::size_t>(full) + 1);
+  // Exact bitmask DP over connected subsets and their result layouts.
+  // dp[s] holds, per layout, the cheapest way to fully contract subset
+  // s; infeasible subsets (disconnected, or every candidate over
+  // budget) stay empty.
+  std::vector<States> dp(static_cast<std::size_t>(full) + 1);
   for (std::size_t i = 0; i < n; ++i) {
-    DpEntry& e = dp[std::size_t{1} << i];
-    e.cost = 0.0;
-    e.info = leaf_info(ctx, i);
+    dp[std::size_t{1} << i].push_back(leaf_state(ctx, i));
   }
   std::uint64_t considered = 0;
   std::uint64_t budget_pruned = 0;
   for (Mask s = 1; s <= full; ++s) {
     if (popcount(s) < 2) continue;
-    DpEntry& entry = dp[s];
     const double out_nnz = subset_est_nnz(ctx, s);
     // Enumerate proper splits once per unordered pair by anchoring the
     // lowest operand of s on the `a` side.
@@ -556,34 +688,18 @@ NetworkPlan plan_network(const ContractionNetwork& net,
     for (Mask a = (s - 1) & s; a != 0; a = (a - 1) & s) {
       if ((a & low) == 0) continue;
       const Mask b = s ^ a;
-      const DpEntry& ea = dp[a];
-      const DpEntry& eb = dp[b];
-      if (ea.cost == kInfCost || eb.cost == kInfCost) continue;
+      if (dp[a].empty() || dp[b].empty()) continue;
       const LabelMask shared =
           result_labels(ctx, a) & result_labels(ctx, b);
       if (shared == 0) continue;  // would be an outer product
       ++considered;
-      const StepEst step =
-          cost_step(ctx, a, b, ea.info.est_nnz, eb.info.est_nnz, out_nnz);
-      const SubInfo merged = combine(ctx, a, b, ea.info, eb.info, step);
-      if (opts.budget_bytes != 0 && merged.peak > opts.budget_bytes) {
+      if (!add_split(ctx, a, b, dp[a], dp[b], out_nnz, opts.budget_bytes,
+                     dp[s])) {
         ++budget_pruned;
-        continue;
-      }
-      const double cost = merged.seconds;
-      const bool better =
-          cost < entry.cost ||
-          (cost == entry.cost &&
-           (merged.peak < entry.info.peak ||
-            (merged.peak == entry.info.peak && a < entry.split)));
-      if (entry.cost == kInfCost || better) {
-        entry.cost = cost;
-        entry.split = a;
-        entry.info = merged;
       }
     }
   }
-  if (dp[full].cost == kInfCost) {
+  if (dp[full].empty()) {
     if (opts.budget_bytes != 0 && budget_pruned > 0) {
       throw Error("plan: no contraction order fits the " +
                   std::to_string(opts.budget_bytes) +
@@ -593,17 +709,12 @@ NetworkPlan plan_network(const ContractionNetwork& net,
     }
     throw Error("plan: network admits no connected contraction order");
   }
-  SplitMap splits;
-  auto collect = [&](auto&& self, Mask s) -> void {
-    if (popcount(s) < 2) return;
-    splits[s] = dp[s].split;
-    self(self, dp[s].split);
-    self(self, s ^ dp[s].split);
-  };
-  collect(collect, full);
-  NetworkPlan plan = emit_plan(ctx, splits, "dp");
-  plan.rejected_alternatives = considered - static_cast<std::uint64_t>(
-                                                splits.size());
+  const XSides xs = chosen_sides(
+      [&](Mask s) -> const States& { return dp[s]; }, full,
+      best_state(dp[full]));
+  NetworkPlan plan = emit_plan(ctx, xs, "dp");
+  plan.rejected_alternatives =
+      considered - static_cast<std::uint64_t>(xs.size());
   plan.budget_pruned = budget_pruned;
   return plan;
 }
@@ -626,7 +737,12 @@ NetworkPlan plan_fixed_order(const ContractionNetwork& net,
     }
     seen[i] = true;
   }
-  SplitMap splits;
+  // The tree is fixed; only the first step, between two inputs, has
+  // an orientation to choose.
+  std::map<Mask, States> states;
+  for (std::size_t i = 0; i < n; ++i) {
+    states[Mask{1} << i].push_back(leaf_state(ctx, i));
+  }
   Mask acc = Mask{1} << order[0];
   for (std::size_t k = 1; k < n; ++k) {
     const Mask next = Mask{1} << order[k];
@@ -635,10 +751,15 @@ NetworkPlan plan_fixed_order(const ContractionNetwork& net,
                   inputs[order[k]].name +
                   "' before any label connects it (outer product)");
     }
-    splits[acc | next] = acc;
+    (void)add_split(ctx, acc, next, states.at(acc), states.at(next),
+                    subset_est_nnz(ctx, acc | next), 0,
+                    states[acc | next]);
     acc |= next;
   }
-  return emit_plan(ctx, splits, "fixed");
+  const XSides xs = chosen_sides(
+      [&](Mask s) -> const States& { return states.at(s); }, acc,
+      best_state(states.at(acc)));
+  return emit_plan(ctx, xs, "fixed");
 }
 
 std::vector<NetworkPlan> enumerate_plans(
@@ -652,28 +773,35 @@ std::vector<NetworkPlan> enumerate_plans(
                 std::to_string(n));
   }
   const Mask full = (Mask{1} << n) - 1;
-  // All ways to contract subset s, as partial split maps.
-  auto trees = [&](auto&& self, Mask s) -> std::vector<SplitMap> {
-    if (popcount(s) == 1) return {SplitMap{}};
-    std::vector<SplitMap> out;
+  // All ways to contract subset s, orientations included, as partial
+  // plan shapes.
+  auto trees = [&](auto&& self, Mask s) -> std::vector<XSides> {
+    if (popcount(s) == 1) return {XSides{}};
+    std::vector<XSides> out;
     const Mask low = s & (~s + 1);
     for (Mask a = (s - 1) & s; a != 0; a = (a - 1) & s) {
       if ((a & low) == 0) continue;
       const Mask b = s ^ a;
       if ((result_labels(ctx, a) & result_labels(ctx, b)) == 0) continue;
-      for (const SplitMap& ta : self(self, a)) {
-        for (const SplitMap& tb : self(self, b)) {
-          SplitMap m = ta;
-          m.insert(tb.begin(), tb.end());
-          m[s] = a;
-          out.push_back(std::move(m));
+      const std::vector<XSides> ta = self(self, a);
+      const std::vector<XSides> tb = self(self, b);
+      const bool peers = (popcount(a) == 1) == (popcount(b) == 1);
+      for (const Mask x : {a, b}) {
+        if (!peers && popcount(x) == 1) continue;  // inputs stay Y
+        for (const XSides& xa : ta) {
+          for (const XSides& xb : tb) {
+            XSides m = xa;
+            m.insert(xb.begin(), xb.end());
+            m[s] = x;
+            out.push_back(std::move(m));
+          }
         }
       }
     }
     return out;
   };
   std::vector<NetworkPlan> plans;
-  for (const SplitMap& m : trees(trees, full)) {
+  for (const XSides& m : trees(trees, full)) {
     plans.push_back(emit_plan(ctx, m, "fixed"));
   }
   return plans;

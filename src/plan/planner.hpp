@@ -12,7 +12,13 @@
 //     test_estimator_accuracy holds to kEstimatorAccuracyFactor);
 //   * bytes via Eq. 5 (HtY) + Eq. 6 (HtA) + COO payloads;
 //   * seconds via the learned per-variant CostModel when one is loaded
-//     (--selector-model), else an analytic operation-count proxy.
+//     (--selector-model), else an analytic operation-count proxy;
+//   * the two sorted passes layout decides: stage ① re-sorts X unless
+//     its contract modes already trail its free modes, and the root's
+//     result is permuted unless it lands in the declared output order.
+//     The search tracks each subtree's result layout (X free, then Y
+//     free, as the engine emits Z) and keeps the cheapest plan per
+//     (subset, layout), so orientation between peers is a choice.
 //
 // PlanOptions::budget_bytes prunes candidates whose *peak intermediate
 // footprint* — computed with the Sethi–Ullman recurrence over the two
@@ -37,6 +43,11 @@ namespace sparta::plan {
 /// replaced by the greedy cheapest-pair search.
 inline constexpr std::size_t kMaxDpOperands = 16;
 
+/// Predicted cost of one sorted pass (stage ①'s X sort, or the final
+/// permute) per non-zero: the network executor's final permute of a
+/// 62 658-non-zero 2-mode result measured 1.46 ms on a 4-vCPU VM.
+inline constexpr double kSortedPassSecondsPerNnz = 23e-9;
+
 /// Plan-time metadata for one network input, resolved from the registry
 /// (or synthesized by --gen in tools).
 struct BoundInput {
@@ -59,8 +70,13 @@ struct PlanStepSpec {
   Modes cy;  ///< matching positions in Y
   std::vector<std::string> out_labels;  ///< free-X then free-Y order
   std::vector<index_t> out_dims;
+  /// X arrives with its contract modes trailing its free modes, so
+  /// stage ① scans it instead of sorting (inputs are taken as sorted).
+  bool x_presorted = false;
   std::size_t est_nnz = 0;
   std::size_t est_bytes = 0;  ///< COO(x)+COO(y)+Eq.5+Eq.6+COO(out)
+  /// Includes X's re-sort when not presorted and, on the last step,
+  /// the final permute.
   double est_seconds = 0.0;
 };
 
@@ -101,7 +117,8 @@ struct PlanOptions {
 
 /// Costs a caller-chosen left-deep order instead of searching:
 /// `order` is a permutation of input indices; step k merges the
-/// accumulated intermediate with inputs[order[k+1]]. Every step must be
+/// accumulated intermediate with inputs[order[k+1]] (as Y). The first
+/// step's orientation is the cheaper one. Every step must be
 /// connected (share a label). Budget is NOT enforced (this is the
 /// baseline/bench path); estimates and peak are still reported.
 [[nodiscard]] NetworkPlan plan_fixed_order(
@@ -109,7 +126,9 @@ struct PlanOptions {
     const std::vector<std::size_t>& order, const PlanOptions& opts = {});
 
 /// Every legal plan (all binary merge trees whose every step is
-/// connected), costed like plan_network but without budget pruning.
+/// connected, in every orientation plan_network may choose: both
+/// between peers, the input as Y beside an intermediate), costed like
+/// plan_network but without budget pruning.
 /// Exponential in operand count — callers (fuzz --network, bench_plan)
 /// keep networks tiny. Deterministic order.
 [[nodiscard]] std::vector<NetworkPlan> enumerate_plans(

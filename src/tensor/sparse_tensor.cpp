@@ -217,8 +217,54 @@ SortedCopy sorted_permuted_copy(const SparseTensor& t, const Modes& order,
     src[k] = t.mode_indices(order[k]).data();
   }
   const value_t* src_vals = t.values().data();
-  const int team = team_size(n, num_threads);
 
+  // Presorted path: rows already in the requested order (a network
+  // intermediate whose contract modes trail, an input sorted that way)
+  // make the stable sort the identity. The scan stops at the first
+  // descent; without one, the copy is the columns as they are, with
+  // the prefix starts the scan found. It polls at the key pass's
+  // cadence, once per simd::kBlockItems rows, and the key pass skips
+  // the blocks the scan polled, so each block polls once either way.
+  std::size_t polled_rows = 0;
+  {
+    std::vector<std::size_t> starts{0};
+    bool sorted = true;
+    lnkey_t prev = 0;
+    lnkey_t next = 0;  // keys below `next` share the previous row's prefix
+    for (std::size_t b = 0; b < n && sorted; b += simd::kBlockItems) {
+      SPARTA_FAILPOINT(site);
+      cancel.check(site);
+      const std::size_t e = std::min(n, b + simd::kBlockItems);
+      polled_rows = e;
+      for (std::size_t i = b; i < e; ++i) {
+        lnkey_t key = 0;
+        for (std::size_t k = 0; k < nmodes; ++k) key += strides[k] * src[k][i];
+        if (key < prev) {
+          sorted = false;
+          break;
+        }
+        if (key >= next) {
+          if (i > 0) starts.push_back(i);
+          next = (key / span + 1) * span;
+        }
+        prev = key;
+      }
+    }
+    if (sorted) {
+      std::vector<std::vector<index_t>> cols(nmodes);
+      for (std::size_t k = 0; k < nmodes; ++k) {
+        cols[k].assign(src[k], src[k] + n);
+      }
+      if (n > 0) starts.push_back(n);
+      out.prefix_starts = std::move(starts);
+      out.t = SparseTensor::from_columns_unchecked(
+          std::move(dims), std::move(cols),
+          std::vector<value_t>(src_vals, src_vals + n));
+      return out;
+    }
+  }
+
+  const int team = team_size(n, num_threads);
   std::vector<std::pair<lnkey_t, std::uint32_t>> keys(n);
   std::vector<std::vector<index_t>> cols(nmodes, std::vector<index_t>(n));
   std::vector<value_t> vals(n);
@@ -232,8 +278,10 @@ SortedCopy sorted_permuted_copy(const SparseTensor& t, const Modes& order,
       // Key pass: one (LN key, position) pair per row, read column by
       // column from t's unpermuted storage.
       [&](std::size_t b, std::size_t e) {
-        SPARTA_FAILPOINT(site);
-        cancel.check(site);
+        if (b >= polled_rows) {
+          SPARTA_FAILPOINT(site);
+          cancel.check(site);
+        }
         for (std::size_t i = b; i < e; ++i) {
           keys[i] = {0, static_cast<std::uint32_t>(i)};
         }

@@ -150,8 +150,11 @@ struct SortedCopy {
 /// range's rows while finding where key / (the product of the
 /// non-prefix mode sizes) changes; the calling thread joins the
 /// ranges' starts. Otherwise it runs those steps with the comparison
-/// sort. Runs on `num_threads` threads (0 = OpenMP's default), or on
-/// the calling thread for small tensors (team_size()). `site` names
+/// sort. Before the fused pass, a scan on the calling thread looks for
+/// a descent in the requested order and stops at the first; rows with
+/// none are copied as they are, with no key pass or sort. Runs on
+/// `num_threads` threads (0 = OpenMP's default), or on the calling
+/// thread for small tensors (team_size()). `site` names the scan's and
 /// the key pass's cancel polls and failpoint, one per 4 096 rows.
 [[nodiscard]] SortedCopy sorted_permuted_copy(const SparseTensor& t,
                                               const Modes& order,

@@ -287,12 +287,19 @@ TEST(PlanExecutor, RepeatedChainLearnsAndRunsSpartaOnRegisteredYs) {
     for (std::size_t k = 0; k < ex.steps.size(); ++k) {
       const serve::ServeReport& rep = ex.steps[k];
       // An intermediate operand is keyed by its dims, not its name.
-      for (const std::string& name : {rep.x, rep.y}) {
-        if (name.starts_with(TensorRegistry::kTempPrefix)) {
-          EXPECT_EQ(rep.key.find(name), std::string::npos) << rep.key;
-          EXPECT_NE(rep.key.find("__tmp/24x"), std::string::npos)
-              << rep.key;
+      const PlanStepSpec& spec = ex.plan->steps[k];
+      for (const std::size_t node : {spec.x, spec.y}) {
+        if (node < n) continue;
+        std::string dims_key(TensorRegistry::kTempPrefix);
+        for (const index_t d : ex.plan->steps[node - n].out_dims) {
+          if (!dims_key.ends_with('/')) dims_key += 'x';
+          dims_key += std::to_string(d);
         }
+        // Key fields end in '|': "__tmp/6" is a prefix of "__tmp/6x24".
+        const std::string& name = node == spec.x ? rep.x : rep.y;
+        EXPECT_EQ(rep.key.find(name + "|"), std::string::npos) << rep.key;
+        EXPECT_NE(rep.key.find(dims_key + "|"), std::string::npos)
+            << rep.key << " lacks " << dims_key;
       }
       if (ex.plan->steps[k].y >= n) continue;
       registered_y = true;
@@ -306,6 +313,51 @@ TEST(PlanExecutor, RepeatedChainLearnsAndRunsSpartaOnRegisteredYs) {
   // One key per step, however often the network runs.
   EXPECT_EQ(keys, 2u);
   EXPECT_EQ(selector_keys(svc), keys);
+}
+
+// With every Y registered and its HtY served from the plan cache, no
+// hash table is a temp: the measured peak is the live intermediates,
+// the step's result and its HtA.
+TEST(PlanExecutor, PeakTempBytesLeavesOutCachedHtYs) {
+  ServeConfig cfg;
+  cfg.num_workers = 1;
+  ContractionService svc(cfg);
+  load_chain(svc);
+  const ContractionNetwork net = parse_network(kChain);
+  const std::size_t n = net.inputs.size();
+  PlanExecutor exec(svc);
+  ExecOptions opts;
+  opts.force_variant = true;
+  opts.variant = Algorithm::kSparta;
+  ASSERT_TRUE(exec.run(net, opts).ok());  // builds each Y's HtY
+  const PlanExecution ex = exec.run(net, opts);
+  ASSERT_TRUE(ex.ok()) << ex.error;
+  const NetworkPlan& plan = *ex.plan;
+  ASSERT_EQ(ex.steps.size(), plan.steps.size());
+  std::vector<std::size_t> temp_bytes(plan.steps.size(), 0);
+  std::size_t live = 0;
+  std::size_t want = 0;
+  for (std::size_t k = 0; k < plan.steps.size(); ++k) {
+    const PlanStepSpec& spec = plan.steps[k];
+    const serve::ServeReport& rep = ex.steps[k];
+    ASSERT_LT(spec.y, n);
+    EXPECT_TRUE(rep.plan_cached) << "step " << k;
+    EXPECT_GT(rep.stats.hty_bytes, 0u) << "step " << k;
+    // Intermediates are dropped from the report once registered; their
+    // arrays are exactly nnz long.
+    const bool last = k + 1 == plan.steps.size();
+    const std::size_t z_bytes =
+        last ? rep.z->footprint_bytes()
+             : rep.stats.nnz_z * (spec.out_labels.size() * sizeof(index_t) +
+                                  sizeof(value_t));
+    want = std::max(want, live + z_bytes + rep.stats.hta_bytes);
+    if (!last) {
+      temp_bytes[k] = z_bytes;
+      live += z_bytes;
+    }
+    if (spec.x >= n) live -= temp_bytes[spec.x - n];
+  }
+  EXPECT_EQ(ex.peak_temp_bytes, want);
 }
 
 TEST(PlanExecutor, DroppedTempsReleaseTheirCachedPlans) {
@@ -384,17 +436,21 @@ TEST(PlanExecutor, FinalPermuteIsBitwiseEqualToPermuteThenSort) {
   svc.load("A", make_tensor({40, 30}, 300, 41));
   svc.load("B", make_tensor({30, 50}, 300, 42));
   svc.load("T", make_tensor({30, 12, 9}, 600, 43));
-  // Between two inputs the planner hashes the smaller (on a tie, the
-  // first) as Y, so each step yields (free X, free Y) = the declared
-  // output's modes rotated. A 2-mode transpose: the step yields (k,i).
-  expect_final_permute_bitwise(svc, "Z[i,k] = A[i,j] * B[j,k]", {0, 1});
-  // 3 modes: the step yields (k,l,i).
-  expect_final_permute_bitwise(svc, "Z[i,k,l] = A[i,j] * T[j,k,l]",
+  svc.load("C", make_tensor({50, 20}, 300, 46));
+  // Each step yields (free X, free Y), and the planner may orient a
+  // step between peers either way, so these outputs are ones no
+  // orientation produces. A 2-mode transpose: the last step has the
+  // intermediate as X and the input C as Y, so it yields (i,l), and
+  // the output asks for (l,i).
+  expect_final_permute_bitwise(svc, "Z[l,i] = A[i,j] * B[j,k] * C[k,l]",
+                               {0, 1, 2});
+  // 3 modes: the step yields (i,k,l) or (k,l,i).
+  expect_final_permute_bitwise(svc, "Z[k,i,l] = A[i,j] * T[j,k,l]",
                                {0, 1});
   // An output LN space of 2^66 cells: the comparison-sort fallback.
   svc.load("H", make_tensor({1u << 22, 8}, 200, 44));
   svc.load("G", make_tensor({8, 1u << 22, 1u << 22}, 200, 45));
-  expect_final_permute_bitwise(svc, "Z[i,k,l] = H[i,j] * G[j,k,l]",
+  expect_final_permute_bitwise(svc, "Z[k,i,l] = H[i,j] * G[j,k,l]",
                                {0, 1});
 }
 

@@ -115,17 +115,60 @@ TEST(Planner, DpAvoidsTheLeftToRightBlowUp) {
   EXPECT_GT(plan.rejected_alternatives, 0u);
 }
 
+// The equal-nnz chain: every tree costs the same steps, so layout
+// decides. (P x Q) x R, with P as X, lands in the declared (i,l).
+const char* kEqualChain = "W[i,l] = P[i,j] * Q[j,k] * R[k,l]";
+
+std::vector<BoundInput> equal_chain_inputs() {
+  return {{"P", {256, 256}, 2600, 1},
+          {"Q", {256, 256}, 2600, 2},
+          {"R", {256, 256}, 2600, 3}};
+}
+
 TEST(Planner, SearchedPlanIsTheEnumeratedOptimum) {
-  const ContractionNetwork net = parse_network(kChain);
-  const NetworkPlan plan = plan_network(net, chain_inputs());
-  const std::vector<NetworkPlan> all =
-      enumerate_plans(net, chain_inputs());
-  ASSERT_FALSE(all.empty());
-  double best = all.front().est_total_seconds;
-  for (const NetworkPlan& p : all) {
-    best = std::min(best, p.est_total_seconds);
+  const std::pair<const char*, std::vector<BoundInput>> cases[] = {
+      {kChain, chain_inputs()}, {kEqualChain, equal_chain_inputs()}};
+  for (const auto& [expr, inputs] : cases) {
+    SCOPED_TRACE(expr);
+    const ContractionNetwork net = parse_network(expr);
+    const NetworkPlan plan = plan_network(net, inputs);
+    const std::vector<NetworkPlan> all = enumerate_plans(net, inputs);
+    ASSERT_FALSE(all.empty());
+    double best = all.front().est_total_seconds;
+    bool presorted = false, resorted = false;
+    bool permuted = false, in_order = false;
+    for (const NetworkPlan& p : all) {
+      best = std::min(best, p.est_total_seconds);
+      for (const PlanStepSpec& s : p.steps) {
+        (s.x_presorted ? presorted : resorted) = true;
+      }
+      (p.final_perm.empty() ? in_order : permuted) = true;
+    }
+    EXPECT_LE(plan.est_total_seconds, best * 1.000001);
+    // Orientations are enumerated: both layouts of X and of the root.
+    EXPECT_TRUE(presorted && resorted && permuted && in_order);
   }
-  EXPECT_LE(plan.est_total_seconds, best * 1.000001);
+  // 3-operand chain: two trees, each with one step between peers.
+  EXPECT_EQ(enumerate_plans(parse_network(kEqualChain),
+                            equal_chain_inputs())
+                .size(),
+            4u);
+}
+
+TEST(Planner, ChainLandsInDeclaredOrder) {
+  const ContractionNetwork net = parse_network(kEqualChain);
+  const NetworkPlan plan = plan_network(net, equal_chain_inputs());
+  ASSERT_EQ(plan.steps.size(), 2u);
+  EXPECT_TRUE(plan.final_perm.empty());
+  EXPECT_EQ(plan.steps.back().out_labels,
+            (std::vector<std::string>{"i", "l"}));
+  // P x Q as (i,k): the root reads its X presorted, and the input P,
+  // whose contract mode j trails, is presorted too.
+  EXPECT_TRUE(plan.steps.back().x_presorted);
+  EXPECT_TRUE(plan.steps.front().x_presorted);
+  EXPECT_EQ(plan.steps.front().x_name, "P");
+  EXPECT_EQ(plan.steps.front().y_name, "Q");
+  EXPECT_EQ(plan.steps.back().y_name, "R");
 }
 
 TEST(Planner, BudgetPrunesAndEventuallyRejects) {
@@ -216,7 +259,34 @@ TEST(Planner, PlanJsonIsByteStableAndValid) {
   const std::string a = plan_network(net, chain_inputs()).to_json();
   const std::string b = plan_network(net, chain_inputs()).to_json();
   EXPECT_EQ(a, b);
-  EXPECT_TRUE(obs::json_parse(a).has_value()) << a;
+  const auto doc = obs::json_parse(a);
+  ASSERT_TRUE(doc.has_value()) << a;
+  // --dry-run explains layout: the final permute, and per step whether
+  // stage ① scans X instead of sorting it.
+  const NetworkPlan plan = plan_network(net, chain_inputs());
+  const obs::JsonValue* perm = doc->get("final_perm");
+  ASSERT_NE(perm, nullptr) << a;
+  ASSERT_TRUE(perm->is_array()) << a;
+  EXPECT_EQ(perm->arr.size(), plan.final_perm.size());
+  const obs::JsonValue* steps = doc->get("steps");
+  ASSERT_NE(steps, nullptr);
+  ASSERT_EQ(steps->arr.size(), plan.steps.size());
+  for (std::size_t k = 0; k < plan.steps.size(); ++k) {
+    const obs::JsonValue* p = steps->arr[k].get("x_presorted");
+    ASSERT_NE(p, nullptr) << a;
+    EXPECT_EQ(p->bool_or(!plan.steps[k].x_presorted),
+              plan.steps[k].x_presorted);
+  }
+  // The funnel's cheapest plan folds from D and yields (m,i): the
+  // declared (i,m) takes a transpose, and (m,i) none.
+  EXPECT_NE(a.find("\"final_perm\":[1,0]"), std::string::npos) << a;
+  const std::string in_order =
+      plan_network(parse_network("Z[m,i] = A[i,j] * B[j,k] * C[k,l] * "
+                                 "D[l,m]"),
+                   chain_inputs())
+          .to_json();
+  EXPECT_NE(in_order.find("\"final_perm\":[]"), std::string::npos)
+      << in_order;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
+#include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "tensor/sparse_tensor.hpp"
 
@@ -319,6 +320,91 @@ TEST(SortedPermutedCopy, WideKeySpaceFallsBackToComparisonSort) {
         sorted_permuted_copy(few, order, 2, threads, CancelToken{}, "test");
     expect_bitwise_equal(got, want, std::to_string(threads) + " threads");
     EXPECT_TRUE(got.t.is_sorted());
+  }
+}
+
+// `t`'s rows reordered so that the copy in `order` finds them sorted:
+// t's modes stay where they are.
+SparseTensor presorted_for(const SparseTensor& t, const Modes& order) {
+  SparseTensor s = unfused_copy(t, order, 0).t;
+  Modes inverse(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    inverse[static_cast<std::size_t>(order[k])] = static_cast<int>(k);
+  }
+  s.permute_modes(inverse);
+  return s;
+}
+
+// `t` with row `i` set to coordinates `c` (unpermuted modes).
+SparseTensor with_row(const SparseTensor& t, std::size_t i,
+                      const std::vector<index_t>& c) {
+  std::vector<std::vector<index_t>> cols;
+  for (int m = 0; m < t.order(); ++m) {
+    const auto col = t.mode_indices(m);
+    cols.emplace_back(col.begin(), col.end());
+    cols.back()[i] = c[static_cast<std::size_t>(m)];
+  }
+  return SparseTensor::from_columns(
+      t.dims(), std::move(cols),
+      std::vector<value_t>(t.values().begin(), t.values().end()));
+}
+
+// Rows already in the requested order take the scan, not the sort; the
+// copy must not differ by a bit, duplicates and sizes 0 and 1 included.
+// A descent in the last row sends the scan on to the sort.
+TEST(SortedPermutedCopy, PresortedInputMatchesTheSortedCopy) {
+  for (const std::size_t nnz : {0ul, 1ul, 700ul, 70'000ul}) {
+    const SparseTensor t = random_with_duplicates({30, 7, 20}, nnz, nnz + 7);
+    Modes order{0, 1, 2};
+    do {
+      const SparseTensor sorted = presorted_for(t, order);
+      // The smallest coordinates in the last row: one descent, at the
+      // end (unless the rows before it are all that small too).
+      const SparseTensor late =
+          nnz > 1 ? with_row(sorted, nnz - 1, {0, 0, 0}) : sorted;
+      for (std::size_t prefix = 0; prefix <= 3; ++prefix) {
+        for (const SparseTensor* in : {&sorted, &late}) {
+          const SortedCopy want = unfused_copy(*in, order, prefix);
+          for (const int threads : {1, 4}) {
+            expect_bitwise_equal(
+                sorted_permuted_copy(*in, order, prefix, threads,
+                                     CancelToken{}, "test"),
+                want,
+                std::string(in == &sorted ? "presorted" : "late descent") +
+                    ", nnz " + std::to_string(nnz) + ", order " +
+                    std::to_string(order[0]) + std::to_string(order[1]) +
+                    std::to_string(order[2]) + ", prefix " +
+                    std::to_string(prefix) + ", " +
+                    std::to_string(threads) + " threads");
+          }
+        }
+      }
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+}
+
+// The scan polls like the key pass, once per 4 096-row block, and the
+// key pass skips what the scan polled: a call hits its failpoint once
+// per block whether it scans, sorts, or scans and then sorts.
+TEST(SortedPermutedCopy, FailpointHitsOncePerBlockOnEveryPath) {
+  const Modes order{1, 0};
+  for (const std::size_t nnz : {0ul, 1ul, 4096ul, 4097ul, 9000ul}) {
+    const SparseTensor t = random_with_duplicates({300, 70}, nnz, nnz + 3);
+    const SparseTensor sorted = presorted_for(t, order);
+    // The largest coordinates at row 5 000: a descent inside block 1.
+    const SparseTensor half =
+        nnz > 6000 ? with_row(sorted, 5000, {299, 69}) : sorted;
+    for (const SparseTensor* in : {&t, &sorted, &half}) {
+      for (const int threads : {1, 4}) {
+        failpoint::arm("test.site", {failpoint::Action::kError,
+                                     std::uint64_t{1} << 40, 1});
+        (void)sorted_permuted_copy(*in, order, 1, threads, CancelToken{},
+                                   "test.site");
+        EXPECT_EQ(failpoint::hit_count("test.site"), (nnz + 4095) / 4096)
+            << "nnz " << nnz << ", " << threads << " threads";
+        failpoint::disarm_all();
+      }
+    }
   }
 }
 
