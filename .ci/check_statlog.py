@@ -36,7 +36,6 @@ REQUIRED_KEYS = [
     "degraded",
     "budget_exceeded",
     "simd_isa",
-    "swiss_tables",
     "model_id",
     "selector_prior",
     "nnz_z",

@@ -10,10 +10,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "hashtable/accumulator.hpp"
-#include "hashtable/grouped_map.hpp"
 #include "hashtable/spa.hpp"
 #include "contraction/plan.hpp"
+#include "simd/swiss_table.hpp"
 #include "tensor/csf.hpp"
 #include "tensor/generators.hpp"
 #include "tensor/hicoo.hpp"
@@ -29,7 +28,7 @@ void BM_HtyProbe(benchmark::State& state) {
   Rng rng(1);
   std::vector<lnkey_t> keys(n);
   for (auto& k : keys) k = rng();
-  const GroupedHashMap m(
+  const simd::SwissYMap m(
       group_by_key(n, 64, 1, {},
                    [&](std::size_t b, std::size_t e,
                        std::pair<lnkey_t, std::uint32_t>* pos,
@@ -38,8 +37,7 @@ void BM_HtyProbe(benchmark::State& state) {
                        pos[i] = {keys[i], static_cast<std::uint32_t>(i)};
                        items[i] = {i, 1.0};
                      }
-                   }),
-      n);
+                   }));
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(m.find(keys[i]));
@@ -71,7 +69,7 @@ BENCHMARK(BM_CooLinearScan)->Range(1 << 10, 1 << 18);
 void BM_HtaAccumulate(benchmark::State& state) {
   const auto distinct = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
-  HashAccumulator acc(distinct);
+  simd::SwissAccumulator acc(distinct);
   for (auto _ : state) {
     acc.accumulate(rng.uniform(distinct), 1.0);
   }
@@ -190,26 +188,25 @@ void BM_HicooBuild(benchmark::State& state) {
 BENCHMARK(BM_HicooBuild)->Range(1 << 14, 1 << 17);
 
 // The whole HtY build through YPlan: parallel key pass, radix sort by
-// contract key, run gather and index. Args: nnz, swiss (0/1), threads.
+// contract key, run gather and index. Args: nnz, threads.
 void BM_YPlanBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool swiss = state.range(1) != 0;
-  const int threads = static_cast<int>(state.range(2));
+  const int threads = static_cast<int>(state.range(1));
   GeneratorSpec spec;
   spec.dims = {500, 400, 300};
   spec.nnz = n;
   spec.seed = 14;
   const SparseTensor y = generate_random(spec);
   for (auto _ : state) {
-    const YPlan plan(y, {0, 1}, /*hty_buckets=*/0, threads, swiss);
+    const YPlan plan(y, {0, 1}, threads);
     benchmark::DoNotOptimize(plan.num_keys());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_YPlanBuild)
-    ->ArgNames({"nnz", "swiss", "threads"})
-    ->ArgsProduct({{1 << 14, 1 << 17}, {0, 1}, {1, 4}});
+    ->ArgNames({"nnz", "threads"})
+    ->ArgsProduct({{1 << 14, 1 << 17}, {1, 4}});
 
 }  // namespace
 }  // namespace sparta

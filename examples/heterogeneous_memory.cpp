@@ -9,6 +9,7 @@
 #include "contraction/contract.hpp"
 #include "contraction/estimators.hpp"
 #include "memsim/cost_model.hpp"
+#include "simd/swiss_table.hpp"
 #include "tensor/datasets.hpp"
 
 int main() {
@@ -19,12 +20,11 @@ int main() {
               c.x.summary().c_str(), c.y.summary().c_str());
 
   // --- placement-time estimates (before any allocation) ---------------
-  std::size_t buckets = 16;
-  while (buckets < c.y.nnz()) buckets <<= 1;
+  const std::size_t slots = simd::detail::swiss_slots_for(c.y.nnz());
   const std::size_t hty_est =
-      estimate_hty_bytes(c.y.nnz(), c.y.order(), buckets);
-  std::printf("Eq. 5 estimate of HtY: %s (nnzY=%zu, buckets=%zu)\n",
-              format_bytes(hty_est).c_str(), c.y.nnz(), buckets);
+      estimate_hty_bytes(c.y.nnz(), c.y.order(), slots);
+  std::printf("Eq. 5 estimate of HtY: %s (nnzY=%zu, slots=%zu)\n",
+              format_bytes(hty_est).c_str(), c.y.nnz(), slots);
 
   // --- instrumented run ------------------------------------------------
   ContractOptions o;

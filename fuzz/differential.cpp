@@ -83,36 +83,22 @@ std::string bitwise_diff(const SparseTensor& a, const SparseTensor& b) {
 // each item's free key and value bits.
 std::vector<std::uint64_t> hty_groups(const YPlan& plan) {
   std::vector<std::uint64_t> out;
-  plan.visit_hty([&](const auto& t) {
-    t.for_each_group([&](lnkey_t key, std::span<const FreeItem> items) {
-      out.push_back(key);
-      out.push_back(items.size());
-      for (const FreeItem& it : items) {
-        out.push_back(it.free_key);
-        out.push_back(std::bit_cast<std::uint64_t>(it.val));
-      }
-    });
-  });
+  plan.hty().for_each_group(
+      [&](lnkey_t key, std::span<const FreeItem> items) {
+        out.push_back(key);
+        out.push_back(items.size());
+        for (const FreeItem& it : items) {
+          out.push_back(it.free_key);
+          out.push_back(std::bit_cast<std::uint64_t>(it.val));
+        }
+      });
   return out;
 }
 
-// Every algorithm path × table choice of contract().
-struct Cell {
-  Algorithm algorithm;
-  bool swiss;
-  bool linear_probe;
-  const char* suffix;
-};
-constexpr Cell kCells[] = {
-    {Algorithm::kSpa, false, false, ""},
-    {Algorithm::kCooHta, false, false, ""},
-    {Algorithm::kCooHta, true, false, "(swiss)"},
-    {Algorithm::kSparta, false, false, ""},
-    {Algorithm::kSparta, false, true, "(linear-probe)"},
-    {Algorithm::kSparta, true, false, "(swiss)"},
-    {Algorithm::kCooBinary, false, false, ""},
-    {Algorithm::kCooBinary, true, false, "(swiss)"},
-};
+// Every algorithm path of contract(): the SPA, and the swiss HtA behind
+// each of the three Y-access policies.
+constexpr Algorithm kAlgos[] = {Algorithm::kSpa, Algorithm::kCooHta,
+                                Algorithm::kSparta, Algorithm::kCooBinary};
 
 }  // namespace
 
@@ -174,8 +160,6 @@ DiffReport run_differential(const FuzzCase& c, const DiffOptions& opts) {
   };
 
   // --- the four pipeline variants --------------------------------------
-  constexpr Algorithm kAlgos[] = {Algorithm::kSpa, Algorithm::kCooHta,
-                                  Algorithm::kSparta, Algorithm::kCooBinary};
   for (Algorithm alg : kAlgos) {
     const std::string name{algorithm_name(alg)};
     try {
@@ -191,75 +175,37 @@ DiffReport run_differential(const FuzzCase& c, const DiffOptions& opts) {
     }
   }
 
-  // --- Sparta with the open-addressing accumulator ---------------------
-  try {
-    ContractOptions o;
-    o.algorithm = Algorithm::kSparta;
-    o.use_linear_probe_hta = true;
-    o.num_threads = opts.num_threads;
-    const ContractResult r = contract(c.x, c.y, c.cx, c.cy, o);
-    ++rep.variants_run;
-    check_pipeline_invariants("HtY+HtA(linear-probe)", r, true);
-    compare("HtY+HtA(linear-probe)", r.z);
-  } catch (const std::exception& e) {
-    fail("HtY+HtA(linear-probe)", std::string("threw: ") + e.what());
-  }
-
-  // --- the swiss-table paths (SIMD-probed HtY/HtA) ---------------------
-  for (Algorithm alg :
-       {Algorithm::kSparta, Algorithm::kCooHta, Algorithm::kCooBinary}) {
-    const std::string name = std::string(algorithm_name(alg)) + "(swiss)";
-    try {
-      ContractOptions o;
-      o.algorithm = alg;
-      o.use_swiss_tables = true;
-      o.num_threads = opts.num_threads;
-      const ContractResult r = contract(c.x, c.y, c.cx, c.cy, o);
-      ++rep.variants_run;
-      check_pipeline_invariants(name, r, true);
-      compare(name, r.z);
-    } catch (const std::exception& e) {
-      fail(name, std::string("threw: ") + e.what());
-    }
-  }
-
-  // --- prebuilt-plan entry point and the CSF path, per HtY kind --------
-  // Each kind is built at 1 and at 4 threads: the bulk build's groups
+  // --- prebuilt-plan entry point and the CSF path ----------------------
+  // The plan is built at 1 and at 4 threads: the bulk build's groups
   // (content and visit order) and the contraction through them must not
   // depend on the build's thread count.
-  for (const bool swiss : {false, true}) {
-    const std::string suffix = swiss ? "(swiss)" : "";
-    try {
-      const YPlan plan(c.y, c.cy, /*hty_buckets=*/0, /*num_threads=*/1,
-                       swiss);
-      const YPlan plan4(c.y, c.cy, /*hty_buckets=*/0, /*num_threads=*/4,
-                        swiss);
-      if (hty_groups(plan) != hty_groups(plan4)) {
-        fail("YPlan" + suffix, "1- and 4-thread builds hold different groups");
-      }
-      {
-        const ContractResult r = contract(c.x, plan, c.cx);
-        ++rep.variants_run;
-        check_pipeline_invariants("YPlan" + suffix, r, true);
-        compare("YPlan" + suffix, r.z);
-        const std::string diff =
-            bitwise_diff(r.z, contract(c.x, plan4, c.cx).z);
-        if (!diff.empty()) {
-          fail("YPlan" + suffix,
-               "output through the 4-thread build differs: " + diff);
-        }
-      }
-      {
-        const ContractResult r = contract_csf(c.x, plan, c.cx);
-        ++rep.variants_run;
-        // CSF pre-merges duplicate X coordinates, so its search count is
-        // the distinct-coordinate count; only check when no dups exist.
-        check_pipeline_invariants("CSF" + suffix, r, !c.has_duplicates);
-        compare("CSF" + suffix, r.z);
-      }
-    } catch (const std::exception& e) {
-      fail("YPlan/CSF" + suffix, std::string("threw: ") + e.what());
+  try {
+    const YPlan plan(c.y, c.cy, /*num_threads=*/1);
+    const YPlan plan4(c.y, c.cy, /*num_threads=*/4);
+    if (hty_groups(plan) != hty_groups(plan4)) {
+      fail("YPlan", "1- and 4-thread builds hold different groups");
     }
+    {
+      const ContractResult r = contract(c.x, plan, c.cx);
+      ++rep.variants_run;
+      check_pipeline_invariants("YPlan", r, true);
+      compare("YPlan", r.z);
+      const std::string diff =
+          bitwise_diff(r.z, contract(c.x, plan4, c.cx).z);
+      if (!diff.empty()) {
+        fail("YPlan", "output through the 4-thread build differs: " + diff);
+      }
+    }
+    {
+      const ContractResult r = contract_csf(c.x, plan, c.cx);
+      ++rep.variants_run;
+      // CSF pre-merges duplicate X coordinates, so its search count is
+      // the distinct-coordinate count; only check when no dups exist.
+      check_pipeline_invariants("CSF", r, !c.has_duplicates);
+      compare("CSF", r.z);
+    }
+  } catch (const std::exception& e) {
+    fail("YPlan/CSF", std::string("threw: ") + e.what());
   }
 
   // --- SpGEMM lowering (2-D, single contract mode) ---------------------
@@ -331,20 +277,16 @@ DiffReport run_differential(const FuzzCase& c, const DiffOptions& opts) {
     fail("determinism", std::string("threw: ") + e.what());
   }
 
-  // --- unsorted output: per-cell, bitwise -----------------------------
+  // --- unsorted output: per-variant, bitwise -------------------------
   // Stage ⑤ only orders each X sub-tensor's run, and the gather always
   // lays runs out in sub-tensor order. So the unsorted output must not
   // depend on the thread count, and sorting it must give the sorted
   // output exactly.
-  for (const Cell& cell : kCells) {
-    const std::string name =
-        std::string(algorithm_name(cell.algorithm)) + cell.suffix +
-        "[unsorted]";
+  for (const Algorithm alg : kAlgos) {
+    const std::string name = std::string(algorithm_name(alg)) + "[unsorted]";
     try {
       ContractOptions o;
-      o.algorithm = cell.algorithm;
-      o.use_swiss_tables = cell.swiss;
-      o.use_linear_probe_hta = cell.linear_probe;
+      o.algorithm = alg;
       o.sort_output = false;
       o.num_threads = 1;
       SparseTensor z1 = contract_tensor(c.x, c.y, c.cx, c.cy, o);
@@ -394,16 +336,13 @@ DiffReport run_isa_differential(const FuzzCase& c) {
     rep.findings.push_back({std::move(variant), std::move(what)});
   };
 
-  // Every algorithm path × table choice, replayed scalar-vs-native with
-  // a BITWISE compare. Single-threaded, so the ISA is the only variable.
-  for (const Cell& cell : kCells) {
-    const std::string name =
-        std::string(algorithm_name(cell.algorithm)) + cell.suffix;
+  // Every algorithm path, replayed scalar-vs-native with a BITWISE
+  // compare. Single-threaded, so the ISA is the only variable.
+  for (const Algorithm alg : kAlgos) {
+    const std::string name{algorithm_name(alg)};
     try {
       ContractOptions o;
-      o.algorithm = cell.algorithm;
-      o.use_swiss_tables = cell.swiss;
-      o.use_linear_probe_hta = cell.linear_probe;
+      o.algorithm = alg;
       o.num_threads = 1;
       SparseTensor z_scalar;
       {

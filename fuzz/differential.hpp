@@ -5,10 +5,9 @@
 //   * the brute-force pairing oracle (contract_reference) — ground truth
 //   * the four ContractAlgo pipeline variants: COOY+SPA, COOY+HtA,
 //     HtY+HtA (Sparta) and the binary-search COO extension
-//   * HtY+HtA with the open-addressing linear-probe accumulator
-//   * the prebuilt-YPlan entry point and the CSF-driven path, each on a
-//     chained and a swiss-table HtY, with the plan built at 1 and at 4
-//     threads (groups and outputs must be identical)
+//   * the prebuilt-YPlan entry point and the CSF-driven path, with the
+//     plan built at 1 and at 4 threads (groups and outputs must be
+//     identical)
 //   * the SpGEMM lowering (2-D operands, one contract mode; all four
 //     accumulator × sizing combinations)
 //   * the dense oracle (small index spaces only)
@@ -53,10 +52,10 @@ struct DiffReport {
                                           const DiffOptions& opts = {});
 
 /// Differential ISA sweep (`fuzz_sptc --isa-diff`): replays `c` through
-/// every (algorithm × table choice) cell twice — SPARTA_SIMD forced to
-/// scalar, then to this machine's native tier — and demands BITWISE
-/// identical outputs (exact value compare, not tolerance). Runs
-/// single-threaded so the ISA is the only variable.
+/// every algorithm twice — SPARTA_SIMD forced to scalar, then to this
+/// machine's native tier — and demands BITWISE identical outputs (exact
+/// value compare, not tolerance). Runs single-threaded so the ISA is the
+/// only variable.
 [[nodiscard]] DiffReport run_isa_differential(const FuzzCase& c);
 
 struct FaultOptions {

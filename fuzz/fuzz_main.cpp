@@ -49,9 +49,9 @@ void usage(const char* argv0) {
       "                 differential sweep\n"
       "  --schedules K  failpoint schedules per case (default 4)\n"
       "  --isa-diff     differential ISA mode: replay each case under\n"
-      "                 SPARTA_SIMD=scalar and the native tier across\n"
-      "                 every (algorithm x table) cell, demanding\n"
-      "                 bitwise-identical outputs\n"
+      "                 SPARTA_SIMD=scalar and the native tier for\n"
+      "                 every algorithm, demanding bitwise-identical\n"
+      "                 outputs\n"
       "  --chaos        chaos mode: random cancel points (countdown,\n"
       "                 site, deadline) layered on failpoints and budget\n"
       "                 pressure through contract(), contract_resilient()\n"

@@ -14,9 +14,6 @@
 #include "common/failpoint.hpp"
 #include "common/parallel.hpp"
 #include "contraction/estimators.hpp"
-#include "hashtable/accumulator.hpp"
-#include "hashtable/grouped_map.hpp"
-#include "hashtable/linear_probe.hpp"
 #include "contraction/writeback.hpp"
 #include "memsim/allocator.hpp"
 #include "obs/json.hpp"
@@ -257,12 +254,10 @@ struct CooIterate {
   }
 };
 
-// Locate: probe HtY (GroupedHashMap or simd::SwissYMap) with the
-// tuple's LN key; each matched item carries the free LN key computed
-// when HtY was built.
-template <typename Map>
+// Locate: probe HtY with the tuple's LN key; each matched item carries
+// the free LN key computed when HtY was built.
 struct HtyLocate {
-  const Map& hty;
+  const simd::SwissYMap& hty;
   const LinearIndexer& clin;
   using Match = std::span<const FreeItem>;
 
@@ -340,9 +335,9 @@ struct ProfileInputs {
 
 void fill_access_profile(AccessProfile& p, const ContractStats& st,
                          const ProfileInputs& in) {
-  constexpr std::uint64_t kHtyProbeBytes = 32;   // bucket ptr + group header
+  constexpr std::uint64_t kHtyProbeBytes = 32;   // ctrl group + slot line
   constexpr std::uint64_t kHtyItemBytes = sizeof(FreeItem);
-  constexpr std::uint64_t kHtaEntryBytes = 24;   // key + value + chain slot
+  constexpr std::uint64_t kHtaEntryBytes = 24;   // key + value + slot index
 
   // ① input processing: X's sorted copy; Y's sorted copy (COO) or the
   // HtY build.
@@ -374,8 +369,8 @@ void fill_access_profile(AccessProfile& p, const ContractStats& st,
     auto& x = p.at(Stage::kIndexSearch, DataObject::kX);
     x.bytes_read_seq += st.nnz_x * in.x_row_bytes;
     if (in.alg == Algorithm::kSparta) {
-      // Each probe walks the bucket pointer plus on average one chain
-      // node — two dependent random reads.
+      // Each probe reads one control group, then the matching slot —
+      // two dependent random reads.
       auto& hty = p.at(Stage::kIndexSearch, DataObject::kHtY);
       hty.bytes_read_rand += st.searches * 2 * kHtyProbeBytes;
       hty.rand_reads += st.searches * 2;
@@ -455,15 +450,6 @@ struct CapacityGuard {
     if (reg) reg->set_capacity(prev);
   }
 };
-
-// Smallest power of two >= max(want, 16) — mirrors the bucket sizing of
-// GroupedHashMap / HashAccumulator so pre-flight estimates use the same
-// bucket counts the real tables will.
-std::size_t pow2_buckets(std::size_t want) {
-  std::size_t b = 16;
-  while (b < want) b <<= 1;
-  return b;
-}
 
 // Shared implementation behind both public entry points: exactly one of
 // `y` (ad-hoc contraction) and `plan` (prebuilt HtY) is non-null.
@@ -603,12 +589,9 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
                        res.stats.nnz_y,
                        y ? y->order()
                          : static_cast<int>(plan->y_dims().size()),
-                       pow2_buckets(opts.hty_buckets > 0
-                                        ? opts.hty_buckets
-                                        : res.stats.nnz_y))));
+                       simd::detail::swiss_slots_for(res.stats.nnz_y))));
     if (!active_plan) {
-      active_plan = &plan_local.emplace(*y, cy, opts.hty_buckets, nthreads,
-                                        opts.use_swiss_tables, opts.cancel);
+      active_plan = &plan_local.emplace(*y, cy, nthreads, opts.cancel);
     }
     res.stats.num_y_keys = active_plan->num_keys();
     res.stats.max_y_group = active_plan->max_group();
@@ -638,15 +621,20 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
     }
   }
 
+  // Sparta sizes its HtA from HtY's largest group.
+  const std::size_t hta_hint =
+      opts.algorithm == Algorithm::kSparta
+          ? std::max<std::size_t>(res.stats.max_y_group, 64)
+          : 64;
+
   // Eq. 6 gate: nnz_Fmax^X and nnz_Fmax^Y are both known now, before any
   // accumulator is touched. The bound is per thread; every thread owns
-  // one accumulator.
+  // one accumulator, whose slot count is the bucket term.
   if (budgeted && opts.budget.preflight) {
-    const std::size_t hta_buckets = pow2_buckets(
-        std::max<std::size_t>(res.stats.max_y_group, 64));
     const std::size_t est_hta =
         estimate_hta_bytes(res.stats.max_x_subtensor, res.stats.max_y_group,
-                           static_cast<int>(nfy), hta_buckets) *
+                           static_cast<int>(nfy),
+                           simd::detail::swiss_slots_for(hta_hint)) *
         static_cast<std::size_t>(nthreads);
     preflight_gate("inputs + HtA (Eq. 6)",
                    x_charge.charged() + y_charge.charged() + est_hta);
@@ -757,38 +745,18 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
         });
   };
 
-  // One runtime dispatch per call maps (algorithm, table options, the
-  // plan's HtY kind) to one instantiation; the per-item loops inside it
-  // are statically bound. Sparta sizes its HtA from HtY's largest group.
-  const std::size_t hta_hint =
-      opts.algorithm == Algorithm::kSparta
-          ? std::max<std::size_t>(res.stats.max_y_group, 64)
-          : 64;
-  auto with_hta = [&](const auto& ya) {
-    const bool sorted = opts.sort_output;
-    if (opts.use_swiss_tables) {
-      run_stages(ya,
-                 HtaPolicy<simd::SwissAccumulator>(hta_hint, fylin, sorted));
-    } else if (opts.use_linear_probe_hta) {
-      run_stages(ya,
-                 HtaPolicy<LinearProbeAccumulator>(hta_hint, fylin, sorted));
-    } else {
-      run_stages(ya, HtaPolicy<HashAccumulator>(hta_hint, fylin, sorted));
-    }
-  };
+  // One runtime dispatch per call maps the algorithm to one
+  // instantiation; the per-item loops inside it are statically bound.
+  const HtaPolicy hta(hta_hint, fylin);
   switch (opts.algorithm) {
     case Algorithm::kSparta:
-      // The plan's table kind governs HtY (an externally built plan may
-      // differ from opts); the options govern the per-thread HtA.
-      active_plan->visit_hty([&]<typename Map>(const Map& hty) {
-        with_hta(HtyLocate<Map>{hty, clin});
-      });
+      run_stages(HtyLocate{active_plan->hty(), clin}, hta);
       break;
     case Algorithm::kCooHta:
-      with_hta(CooIterate<false>{ycoo, m, nfy});
+      run_stages(CooIterate<false>{ycoo, m, nfy}, hta);
       break;
     case Algorithm::kCooBinary:
-      with_hta(CooIterate<true>{ycoo, m, nfy});
+      run_stages(CooIterate<true>{ycoo, m, nfy}, hta);
       break;
     case Algorithm::kSpa:
       run_stages(CooIterate<false>{ycoo, m, nfy}, SpaPolicy(nfy, fylin));

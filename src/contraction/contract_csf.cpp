@@ -8,7 +8,6 @@
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "contraction/writeback.hpp"
-#include "hashtable/accumulator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/csf.hpp"
@@ -133,81 +132,77 @@ ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
   res.stage_times[Stage::kInputProcessing] = t_input.seconds();
 
   // --- ②③⑤④ per sub-tensor, then the ordered gather --------------------
-  using Acc = engine::HtaPolicy<HashAccumulator>;
   struct Match {
     std::span<const FreeItem> items;
     value_t xval;
   };
   // Per-thread state, reused across that thread's sub-tensors.
   struct Worker {
-    Acc acc;
+    engine::HtaPolicy acc;
     std::vector<Match> matches;
   };
   std::vector<Worker> workers(
       static_cast<std::size_t>(nthreads),
-      Worker{Acc(std::max<std::size_t>(plan.max_group(), 64),
-                 plan.fy_indexer(), opts.sort_output),
+      Worker{engine::HtaPolicy(std::max<std::size_t>(plan.max_group(), 64),
+                               plan.fy_indexer()),
              {}});
   engine::ZStaging staging;
   std::vector<engine::ThreadTimes> times;
 
-  // One visit per call binds the plan's HtY kind; the probes inside are
-  // statically dispatched.
-  plan.visit_hty([&](const auto& hty) {
-    engine::parallel_over_subtensors(
-        subs.size(), nfx, nthreads, /*shared=*/false, staging, times,
-        /*reg=*/nullptr, opts.cancel,
-        [&](std::size_t tid, std::size_t s, engine::ZLocal& zl,
-            engine::ZRun& run, std::span<index_t> fx,
-            engine::ThreadTimes& tt) {
-          const CsfSubtensor& sub = subs[s];
-          Worker& w = workers[tid];
-          w.matches.clear();
-          std::copy(sub.free_coords.begin(), sub.free_coords.end(),
-                    fx.begin());
+  const simd::SwissYMap& hty = plan.hty();
+  engine::parallel_over_subtensors(
+      subs.size(), nfx, nthreads, /*shared=*/false, staging, times,
+      /*reg=*/nullptr, opts.cancel,
+      [&](std::size_t tid, std::size_t s, engine::ZLocal& zl,
+          engine::ZRun& run, std::span<index_t> fx,
+          engine::ThreadTimes& tt) {
+        const CsfSubtensor& sub = subs[s];
+        Worker& w = workers[tid];
+        w.matches.clear();
+        std::copy(sub.free_coords.begin(), sub.free_coords.end(),
+                  fx.begin());
 
-          // ② index search: walk the contract subtree; the partial LN
-          // key is computed once per internal fiber, not once per leaf.
-          // One clock read per stage boundary, as in contract().
-          Timer clock;
-          obs::Span sp_search("index_search");
-          std::size_t begin = 0;
-          std::size_t end = csf.level_size(0);
-          if (nfx > 0) {
-            const auto ptr = csf.level_ptr(static_cast<int>(nfx) - 1);
-            begin = ptr[sub.node];
-            end = ptr[sub.node + 1];
+        // ② index search: walk the contract subtree; the partial LN
+        // key is computed once per internal fiber, not once per leaf.
+        // One clock read per stage boundary, as in contract().
+        Timer clock;
+        obs::Span sp_search("index_search");
+        std::size_t begin = 0;
+        std::size_t end = csf.level_size(0);
+        if (nfx > 0) {
+          const auto ptr = csf.level_ptr(static_cast<int>(nfx) - 1);
+          begin = ptr[sub.node];
+          end = ptr[sub.node + 1];
+        }
+        walk_contract(csf, nfx, strides, nfx, begin, end, 0,
+                      [&](lnkey_t key, value_t xval) {
+                        ++tt.searches;
+                        const auto items = hty.find(key);
+                        if (!items.empty()) {
+                          ++tt.hits;
+                          w.matches.push_back(Match{items, xval});
+                        }
+                      });
+        sp_search.finish();
+        tt.search += clock.lap();
+
+        // ③ accumulation.
+        obs::Span sp_acc("accumulation");
+        w.acc.begin();
+        for (const Match& mt : w.matches) {
+          for (const FreeItem& it : mt.items) {
+            w.acc.add(it.free_key, mt.xval * it.val);
           }
-          walk_contract(csf, nfx, strides, nfx, begin, end, 0,
-                        [&](lnkey_t key, value_t xval) {
-                          ++tt.searches;
-                          const auto items = hty.find(key);
-                          if (!items.empty()) {
-                            ++tt.hits;
-                            w.matches.push_back(Match{items, xval});
-                          }
-                        });
-          sp_search.finish();
-          tt.search += clock.lap();
+          tt.multiplies += mt.items.size();
+        }
+        sp_acc.finish();
+        tt.accumulate += clock.lap();
 
-          // ③ accumulation.
-          obs::Span sp_acc("accumulation");
-          w.acc.begin();
-          for (const Match& mt : w.matches) {
-            for (const FreeItem& it : mt.items) {
-              w.acc.add(it.free_key, mt.xval * it.val);
-            }
-            tt.multiplies += mt.items.size();
-          }
-          sp_acc.finish();
-          tt.accumulate += clock.lap();
-
-          engine::write_back(w.acc, opts.sort_output, nullptr, zl, run, tt,
-                             clock, opts.cancel);
-          tt.acc_peak_bytes =
-              std::max(tt.acc_peak_bytes, w.acc.footprint_bytes());
-        });
-  });
+        engine::write_back(w.acc, opts.sort_output, nullptr, zl, run, tt,
+                           clock, opts.cancel);
+        tt.acc_peak_bytes =
+            std::max(tt.acc_peak_bytes, w.acc.footprint_bytes());
+      });
   engine::reduce_thread_times(res, times, nthreads);
   engine::gather_runs(res, std::move(zdims), staging, nthreads,
                       /*reg=*/nullptr, opts.cancel);

@@ -26,22 +26,26 @@ namespace sparta {
 inline constexpr double kEstimatorAccuracyFactor = 4.0;
 
 /// Struct-size constants the estimators plug into the paper's formulas.
-/// The defaults are Eq. 6's, matched to HashAccumulator's chained
-/// layout.
+/// The defaults are Eq. 6's, an upper bound on simd::SwissAccumulator:
+/// a slot costs a control byte and a 4-byte entry index (5 bytes, under
+/// Size_ep = 16), and an entry its 24-byte {key, value, slot} record
+/// (under Size_idx·|F_Y| + Size_val + Size_ep ≥ 28 for |F_Y| ≥ 1). The
+/// bucket term is the table's slot count (simd::detail::swiss_slots_for
+/// at the engine's size hint).
 struct EstimatorSizes {
-  std::size_t entry_pointer = 16;           ///< Size_ep: chain/bucket slot
+  std::size_t entry_pointer = 16;           ///< Size_ep: per slot/entry
   std::size_t index = sizeof(index_t);      ///< Size_idx
   std::size_t value = sizeof(value_t);      ///< Size_val
 };
 
-/// Eq. 5's constants for the flat HtY layouts (GroupedHashMap,
-/// simd::SwissYMap). A bucket costs a 4-byte CSR offset (chained) or
-/// about half a 17-byte swiss slot (ctrl byte + {key, begin, count};
-/// swiss sizes for distinct keys at ≤ 7/8 load, about 2 slots per key
-/// against Eq. 5's ≈ nnz buckets), so Size_ep = 8 per bucket. Per item,
-/// Size_idx·N_Y + Size_val stands in for the 16-byte FreeItem, and
-/// Size_ep for the item's share of its key's 16-byte {key, begin,
-/// count} entry (one per distinct key, at most one per item).
+/// Eq. 5's constants for simd::SwissYMap. The bucket term is the slot
+/// count a table sized for nnz_Y keys would have (the distinct-key count
+/// is unknown before the build; at most nnz_Y). A slot costs 17 bytes
+/// (a control byte and a 16-byte {key, begin, count} run); Size_ep = 8
+/// per slot charges about half of it, because the build sizes from the
+/// distinct keys and so holds at most as many slots as the estimate.
+/// Per item, Size_idx·N_Y + Size_val stands in for the 16-byte FreeItem,
+/// and Size_ep for the item's share of its key's slot.
 inline constexpr EstimatorSizes kHtySizes{8, sizeof(index_t),
                                           sizeof(value_t)};
 

@@ -74,22 +74,6 @@ struct ContractOptions {
   /// predictable.
   bool swap_operands_if_larger_x = false;
 
-  /// Bucket count for HtY; 0 = auto (≈ nnz(Y), rounded up to 2^k).
-  std::size_t hty_buckets = 0;
-
-  /// Use the open-addressing LinearProbeAccumulator instead of the
-  /// chained HashAccumulator for HtA (Sparta algorithm only) — the §6
-  /// "more advanced hash algorithms" direction.
-  bool use_linear_probe_hta = false;
-
-  /// Use the SIMD-probed swiss tables (simd/swiss_table.hpp) for HtY
-  /// and HtA instead of the chained structures. Applies to every
-  /// hash-table algorithm (kCooHta, kSparta, kCooBinary); kSpa has no
-  /// hash table to swap. Output is bit-identical to the chained tables'
-  /// semantics per ISA tier and across tiers (see docs/SIMD.md);
-  /// mutually exclusive with use_linear_probe_hta.
-  bool use_swiss_tables = false;
-
   /// Record the per-stage × per-object AccessProfile for the memory
   /// simulator. Cheap (arithmetic only) but off by default.
   bool collect_access_profile = false;
@@ -152,16 +136,6 @@ struct ContractOptions {
     const int a = static_cast<int>(algorithm);
     SPARTA_CHECK(a >= 0 && a <= static_cast<int>(Algorithm::kCooBinary),
                  "algorithm is not a valid Algorithm enumerator");
-    SPARTA_CHECK(!use_linear_probe_hta || algorithm == Algorithm::kSparta,
-                 "use_linear_probe_hta applies only to Algorithm::kSparta");
-    SPARTA_CHECK(!use_swiss_tables || algorithm != Algorithm::kSpa,
-                 "use_swiss_tables needs a hash-table algorithm; kSpa "
-                 "has no hash table to replace");
-    SPARTA_CHECK(!(use_swiss_tables && use_linear_probe_hta),
-                 "use_swiss_tables and use_linear_probe_hta both replace "
-                 "the HtA; pick one");
-    SPARTA_CHECK(hty_buckets == 0 || algorithm == Algorithm::kSparta,
-                 "hty_buckets applies only to Algorithm::kSparta");
     SPARTA_CHECK(!hty_charged_externally || algorithm == Algorithm::kSparta,
                  "hty_charged_externally applies only to Algorithm::kSparta "
                  "(only HtY plans can be cached externally)");

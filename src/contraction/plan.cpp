@@ -2,7 +2,6 @@
 
 #include "contraction/contract.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -15,8 +14,6 @@ namespace sparta {
 
 namespace {
 
-using HtY = std::variant<GroupedHashMap, simd::SwissYMap>;
-
 std::vector<index_t> dims_of(const SparseTensor& y, const Modes& modes) {
   std::vector<index_t> dims;
   for (int m : modes) dims.push_back(y.dim(m));
@@ -25,10 +22,10 @@ std::vector<index_t> dims_of(const SparseTensor& y, const Modes& modes) {
 
 // The bulk HtY build. Every step writes by position or joins the sort's
 // ranges in order, so HtY is the same at any thread count.
-HtY build_hty(const SparseTensor& y, const Modes& cy, const Modes& fy,
-              const std::vector<index_t>& cdims, const LinearIndexer& fylin,
-              std::size_t hty_buckets, int num_threads, bool use_swiss_tables,
-              const CancelToken& cancel) {
+simd::SwissYMap build_hty(const SparseTensor& y, const Modes& cy,
+                          const Modes& fy, const std::vector<index_t>& cdims,
+                          const LinearIndexer& fylin, int num_threads,
+                          const CancelToken& cancel) {
   // Covers every step — the "HtY build" sub-phase of input
   // processing (nested there when called from contract_impl).
   obs::Span sp_build("build_hty");
@@ -67,26 +64,20 @@ HtY build_hty(const SparseTensor& y, const Modes& cy, const Modes& fy,
       });
 
   // 3. Each distinct key enters the table's index once.
-  if (use_swiss_tables) {
-    return HtY(std::in_place_type<simd::SwissYMap>, std::move(runs));
-  }
-  return HtY(std::in_place_type<GroupedHashMap>, std::move(runs),
-             hty_buckets > 0 ? hty_buckets
-                             : std::max<std::size_t>(y.nnz(), 16));
+  return simd::SwissYMap(std::move(runs));
 }
 
 }  // namespace
 
-YPlan::YPlan(const SparseTensor& y, Modes cy, std::size_t hty_buckets,
-             int num_threads, bool use_swiss_tables, CancelToken cancel)
+YPlan::YPlan(const SparseTensor& y, Modes cy, int num_threads,
+             CancelToken cancel)
     : cy_(std::move(cy)),
       fy_(free_modes(y, cy_, "cy")),
       ydims_(y.dims()),
       cdims_(dims_of(y, cy_)),
       fydims_(dims_of(y, fy_)),
       fylin_(fydims_.empty() ? std::vector<index_t>{1} : fydims_),
-      hty_(build_hty(y, cy_, fy_, cdims_, fylin_, hty_buckets, num_threads,
-                     use_swiss_tables, cancel)),
+      hty_(build_hty(y, cy_, fy_, cdims_, fylin_, num_threads, cancel)),
       nnz_y_(y.nnz()),
       y_footprint_(y.footprint_bytes()) {}
 

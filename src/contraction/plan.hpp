@@ -14,10 +14,7 @@
 // one-shot YPlan internally, so both paths share one implementation.
 #pragma once
 
-#include <variant>
-
 #include "contraction/options.hpp"
-#include "hashtable/grouped_map.hpp"
 #include "simd/swiss_table.hpp"
 #include "tensor/linearize.hpp"
 #include "tensor/sparse_tensor.hpp"
@@ -27,12 +24,8 @@ namespace sparta {
 
 class YPlan {
  public:
-  /// Builds HtY from `y` keyed on contract modes `cy` (validated).
-  /// `hty_buckets` 0 = auto (≈ nnz(y)) sizes the chained table's
-  /// buckets; `num_threads` 0 = ambient. `use_swiss_tables` picks the
-  /// SIMD-probed swiss HtY over the chained GroupedHashMap; the plan's
-  /// table kind then governs HtY for every contraction using it,
-  /// regardless of the caller's options.
+  /// Builds HtY (a simd::SwissYMap) from `y` keyed on contract modes
+  /// `cy` (validated). `num_threads` 0 = ambient.
   ///
   /// The build is one bulk pass, not per-item inserts: a parallel pass
   /// computes each non-zero's (contract key, free key, value), a stable
@@ -43,8 +36,7 @@ class YPlan {
   /// polled along the key pass (every 4 096 non-zeros) and the sort;
   /// Cancelled unwinds before the plan object exists, so no half-built
   /// HtY can escape.
-  YPlan(const SparseTensor& y, Modes cy, std::size_t hty_buckets = 0,
-        int num_threads = 0, bool use_swiss_tables = false,
+  YPlan(const SparseTensor& y, Modes cy, int num_threads = 0,
         CancelToken cancel = {});
 
   YPlan(const YPlan&) = delete;
@@ -63,24 +55,16 @@ class YPlan {
     return fydims_;
   }
 
-  /// Calls f(table) with the HtY this plan holds — a GroupedHashMap or
-  /// a simd::SwissYMap, both exposing find(key) -> span<const FreeItem>
-  /// — and returns its result. The one way to reach the table: a
-  /// generic `f` is instantiated once per table kind.
-  template <typename F>
-  decltype(auto) visit_hty(F&& f) const {
-    return std::visit(std::forward<F>(f), hty_);
-  }
+  /// The HtY this plan holds.
+  [[nodiscard]] const simd::SwissYMap& hty() const { return hty_; }
 
   [[nodiscard]] std::size_t nnz_y() const { return nnz_y_; }
-  [[nodiscard]] std::size_t num_keys() const {
-    return visit_hty([](const auto& t) { return t.num_keys(); });
-  }
+  [[nodiscard]] std::size_t num_keys() const { return hty_.num_keys(); }
   [[nodiscard]] std::size_t max_group() const {
-    return visit_hty([](const auto& t) { return t.max_group_size(); });
+    return hty_.max_group_size();
   }
   [[nodiscard]] std::size_t hty_footprint_bytes() const {
-    return visit_hty([](const auto& t) { return t.footprint_bytes(); });
+    return hty_.footprint_bytes();
   }
   [[nodiscard]] std::size_t y_footprint_bytes() const {
     return y_footprint_;
@@ -96,7 +80,7 @@ class YPlan {
   std::vector<index_t> cdims_;
   std::vector<index_t> fydims_;
   LinearIndexer fylin_;
-  std::variant<GroupedHashMap, simd::SwissYMap> hty_;
+  simd::SwissYMap hty_;
   std::size_t nnz_y_ = 0;
   std::size_t y_footprint_ = 0;
 };

@@ -34,14 +34,7 @@ int weight(Algorithm a) {
 ContractOptions rung_options(const ContractOptions& base, Algorithm a) {
   ContractOptions o = base;
   o.algorithm = a;
-  if (a != Algorithm::kSparta) {
-    o.hty_buckets = 0;
-    o.use_linear_probe_hta = false;
-    o.hty_charged_externally = false;
-  }
-  // Swiss tables ride along on every hash-table rung; only the SPA rung
-  // has no hash table to swap.
-  if (a == Algorithm::kSpa) o.use_swiss_tables = false;
+  if (a != Algorithm::kSparta) o.hty_charged_externally = false;
   return o;
 }
 

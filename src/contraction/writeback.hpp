@@ -32,6 +32,7 @@
 #include "obs/perfctr.hpp"
 #include "obs/trace.hpp"
 #include "simd/sort.hpp"
+#include "simd/swiss_table.hpp"
 #include "tensor/linearize.hpp"
 
 namespace sparta::engine {
@@ -182,32 +183,18 @@ class SortedRun {
   ZLocal scratch_;
 };
 
-// HtA over any LN-keyed table (HashAccumulator, LinearProbeAccumulator,
-// simd::SwissAccumulator). Located items arrive keyed; iterated items
-// arrive as tuples and are linearized here.
-template <typename Table>
+// HtA over simd::SwissAccumulator. Located items arrive keyed; iterated
+// items arrive as tuples and are linearized here. Unsorted output keeps
+// each run in the table's insertion order, which depends on the
+// sub-tensor's own multiplies alone — not on the table's size, nor on
+// which sub-tensors this thread handled before (so not on the thread
+// count).
 class HtaPolicy {
  public:
-  HtaPolicy(std::size_t expected_keys, const LinearIndexer& fylin,
-            bool sorted_output)
-      : table_(expected_keys),
-        expected_keys_(expected_keys),
-        buckets_(table_.num_buckets()),
-        fylin_(&fylin),
-        sorted_output_(sorted_output),
-        sorted_(fylin) {}
+  HtaPolicy(std::size_t expected_keys, const LinearIndexer& fylin)
+      : table_(expected_keys), fylin_(&fylin), sorted_(fylin) {}
 
-  // Unsorted output keeps each run in table order. A table that grew is
-  // rebuilt at its constructed size, so that order depends on the
-  // sub-tensor's own entries, not on which sub-tensors this thread
-  // handled before (and so not on the thread count).
-  void begin() {
-    if (!sorted_output_ && table_.num_buckets() != buckets_) {
-      table_ = Table(expected_keys_);
-    } else {
-      table_.clear();
-    }
-  }
+  void begin() { table_.clear(); }
   void add(lnkey_t free_key, value_t v) { table_.accumulate(free_key, v); }
   void add(std::span<const index_t> free_tuple, value_t v) {
     add(free_tuple.empty() ? 0 : fylin_->linearize(free_tuple), v);
@@ -231,11 +218,8 @@ class HtaPolicy {
     table_.drain([&](lnkey_t key, value_t v) { out.emplace_back(key, v); });
   }
 
-  Table table_;
-  std::size_t expected_keys_;
-  std::size_t buckets_;
+  simd::SwissAccumulator table_;
   const LinearIndexer* fylin_;
-  bool sorted_output_;
   SortedRun sorted_;
 };
 

@@ -1,4 +1,7 @@
-// Hash-table-represented sparse tensor (HtY, paper §3.3).
+// The paper's chained HtY (§3.3), kept as a reference: the engine's HtY
+// is simd::SwissYMap, and this table only serves the swiss-vs-chained
+// probe gate (bench_simd_paths) and SwissYMap's parity test. No engine
+// file includes it.
 //
 // Maps an LN contract key to the dynamic array of (LN free key, value)
 // pairs of all Y non-zeros sharing those contract indices. Every item
@@ -7,133 +10,21 @@
 // without a separate allocation per key). The table indexes the runs by
 // separate chaining over a fixed power-of-two bucket count, stored
 // CSR-style: bucket offsets over one array of {key, begin, count}
-// entries.
-//
-// The runs come from one sort (group_by_key below) instead of the
-// paper's locked per-item inserts (§3.5); YPlan drives the build and
-// docs/ALGORITHMS.md records the deviation.
+// entries. It is built from the same HtyRuns as SwissYMap.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/cancel.hpp"
-#include "common/error.hpp"
-#include "common/failpoint.hpp"
-#include "common/parallel.hpp"
 #include "hashtable/hash.hpp"
 #include "obs/metrics.hpp"
-#include "simd/sort.hpp"
+#include "simd/swiss_table.hpp"
 #include "tensor/types.hpp"
 
 namespace sparta {
-
-/// One Y non-zero as seen by the accumulation stage: its free-mode LN key
-/// and value.
-struct FreeItem {
-  lnkey_t free_key;
-  value_t val;
-};
-
-/// One key's items: HtyRuns::items[begin, begin + count).
-struct KeyRun {
-  lnkey_t key;
-  std::uint32_t begin;
-  std::uint32_t count;
-};
-
-/// HtY's content in flat form: the items of each distinct key form one
-/// contiguous run, in input order; `runs` ascend by key, one per key.
-/// Both HtY tables are built from this (group_by_key makes it).
-struct HtyRuns {
-  std::vector<FreeItem> items;
-  std::vector<KeyRun> runs;
-  std::size_t max_run = 0;  ///< largest run: the paper's nnz_Fmax^Y
-};
-
-/// HtY's bulk build (paper §3.3 stage ①, sort-based) over `n` Y
-/// non-zeros. fill(b, e, keys, items) writes, for each i in [b, e),
-/// keys[i] = (a contract key, i) and items[i] = that non-zero's item.
-/// The pairs are stably sorted by key, and items[position] is gathered
-/// into one contiguous run per distinct key, in input order, so the
-/// result is the same at any thread count. One
-/// simd::sort_ln_pairs_team() runs the fill, the sort and the gather
-/// (with the run starts found inside each sorted range) on `nthreads`
-/// threads, or on one for small inputs (team_size()); the calling
-/// thread then joins the ranges' runs in order. `key_bits` bounds the
-/// keys' width; `cancel` is polled, and the `plan.build` failpoint
-/// evaluated, before each block of the fill (and `sort.radix_pass` in
-/// the sort).
-template <typename Fill>
-[[nodiscard]] HtyRuns group_by_key(std::size_t n, int key_bits, int nthreads,
-                                   const CancelToken& cancel, Fill&& fill) {
-  SPARTA_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
-               "HtY holds at most 2^32 - 1 items, got " + std::to_string(n));
-  std::vector<std::pair<lnkey_t, std::uint32_t>> keys(n);
-  std::vector<FreeItem> items(n);
-  HtyRuns out;
-  out.items.resize(n);
-  // Range d of the sort: its first pair, and how many pairs after it
-  // start a run.
-  std::array<std::size_t, 256> range_begin{};
-  std::array<std::size_t, 256> range_starts{};
-  std::array<bool, 256> visited{};
-  simd::sort_ln_pairs_team(
-      keys, key_bits, team_size(n, nthreads), cancel,
-      [&](std::size_t b, std::size_t e) {
-        SPARTA_FAILPOINT("plan.build");
-        cancel.check("plan.build");
-        fill(b, e, keys.data(), items.data());
-      },
-      // The pairs after the range's first that start a run go, in
-      // order, into the range's own position slots, which the gather
-      // has finished reading.
-      [&](std::size_t d, std::size_t b, std::size_t e) {
-        for (std::size_t j = b; j < e; ++j) {
-          out.items[j] = items[keys[j].second];
-        }
-        std::size_t c = 0;
-        for (std::size_t j = b + 1; j < e; ++j) {
-          if (keys[j].first != keys[j - 1].first) {
-            keys[b + c++].second = static_cast<std::uint32_t>(j);
-          }
-        }
-        visited[d] = true;
-        range_begin[d] = b;
-        range_starts[d] = c;
-      });
-  items = {};  // freed before the runs are joined: lowers the peak
-
-  std::size_t total = 0;
-  for (std::size_t d = 0; d < 256; ++d) total += range_starts[d] + 1;
-  out.runs.reserve(total);
-  auto add_run = [&](std::size_t j) {
-    out.runs.push_back({keys[j].first, static_cast<std::uint32_t>(j), 0});
-  };
-  for (std::size_t d = 0; d < 256; ++d) {
-    if (!visited[d]) continue;
-    const std::size_t b = range_begin[d];
-    if (b == 0 || keys[b].first != keys[b - 1].first) add_run(b);
-    for (std::size_t c = 0; c < range_starts[d]; ++c) {
-      add_run(keys[b + c].second);
-    }
-  }
-  // Each run ends where the next begins.
-  for (std::size_t r = 0; r < out.runs.size(); ++r) {
-    const std::size_t end =
-        r + 1 < out.runs.size() ? out.runs[r + 1].begin : n;
-    out.runs[r].count = static_cast<std::uint32_t>(end - out.runs[r].begin);
-    out.max_run = std::max<std::size_t>(out.max_run, out.runs[r].count);
-  }
-  return out;
-}
 
 class GroupedHashMap {
  public:

@@ -2,8 +2,8 @@
 //
 // A dynamic array of (free-index tuple, value) searched linearly on every
 // accumulate: O(|SPA|) per update with multi-index tuple comparison.
-// Deliberately faithful to Algorithm 1; HashAccumulator is the optimized
-// replacement benchmarked against it.
+// Deliberately faithful to Algorithm 1; simd::SwissAccumulator (the HtA)
+// is the optimized replacement benchmarked against it.
 #pragma once
 
 #include <cstddef>

@@ -11,18 +11,6 @@
 
 namespace sparta::serve {
 
-namespace {
-
-// The engine sizes HtY's bucket array to the smallest power of two
-// covering nnz(Y); the Eq. 5 pre-admission estimate mirrors that.
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 PlanLease PlanCache::acquire(std::uint64_t y_id, const SparseTensor& y,
                              const Modes& cy, const CancelToken& cancel) {
   const Key key{y_id, cy};
@@ -68,18 +56,13 @@ PlanLease PlanCache::acquire(std::uint64_t y_id, const SparseTensor& y,
 
   // Eq. 5 pre-admission: a plan that can never fit the cache budget is
   // built and served uncached — no point evicting everything for it.
-  const std::size_t buckets =
-      cfg_.hty_buckets > 0
-          ? pow2_at_least(cfg_.hty_buckets)
-          : pow2_at_least(std::max<std::size_t>(y.nnz(), 1));
-  const std::size_t est = estimate_hty_bytes(y.nnz(), y.order(), buckets);
+  const std::size_t est = estimate_hty_bytes(
+      y.nnz(), y.order(), simd::detail::swiss_slots_for(y.nnz()));
   if (cfg_.budget_bytes != 0 && est > cfg_.budget_bytes) {
     ++stats_.uncacheable;
     SPARTA_COUNTER_ADD("serve.cache.uncacheable", 1);
     lk.unlock();
-    auto plan = std::make_shared<YPlan>(y, cy, cfg_.hty_buckets,
-                                        /*num_threads=*/0,
-                                        cfg_.use_swiss_tables, cancel);
+    auto plan = std::make_shared<YPlan>(y, cy, /*num_threads=*/0, cancel);
     return {std::move(plan), /*hit=*/false, /*cached=*/false};
   }
 
@@ -92,9 +75,7 @@ PlanLease PlanCache::acquire(std::uint64_t y_id, const SparseTensor& y,
 
   std::shared_ptr<Cached> built;
   try {
-    built = std::make_shared<Cached>(y, cy, cfg_.hty_buckets,
-                                     /*num_threads=*/0,
-                                     cfg_.use_swiss_tables, cancel);
+    built = std::make_shared<Cached>(y, cy, /*num_threads=*/0, cancel);
   } catch (const Cancelled&) {
     fail_build(build, key, /*cancelled=*/true);
     throw;

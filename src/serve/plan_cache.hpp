@@ -44,14 +44,6 @@ struct PlanCacheConfig {
   /// Receives the kDram/kHtY charge of every retained plan. May be
   /// null (no external accounting).
   AllocationRegistry* registry = nullptr;
-
-  /// Forwarded to YPlan; 0 = auto (≈ nnz(Y)).
-  std::size_t hty_buckets = 0;
-
-  /// Build cached plans with the SIMD-probed swiss HtY instead of the
-  /// chained table (see simd/swiss_table.hpp). The plan's table kind
-  /// governs every contraction that reuses it.
-  bool use_swiss_tables = false;
 };
 
 /// What acquire() hands back. `plan` is always usable; `cached` tells

@@ -12,16 +12,11 @@
 #include "obs/json.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/metrics.hpp"
+#include "simd/swiss_table.hpp"
 
 namespace sparta::serve {
 
 namespace {
-
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 void write_variant_stats(obs::JsonWriter& w,
                          const VariantSelector::VariantStats& s) {
@@ -109,8 +104,7 @@ Algorithm VariantSelector::choose(const RequestFeatures& f) {
   std::vector<Algorithm> feasible(kVariants.begin(), kVariants.end());
   if (f.budget_remaining != 0) {
     const std::size_t est = estimate_hty_bytes(
-        f.nnz_y, f.order_y,
-        pow2_at_least(std::max<std::size_t>(f.nnz_y, 1)));
+        f.nnz_y, f.order_y, simd::detail::swiss_slots_for(f.nnz_y));
     if (est > f.budget_remaining) {
       feasible.erase(
           std::remove(feasible.begin(), feasible.end(),

@@ -45,7 +45,6 @@
 
 #include "contraction/options.hpp"
 #include "serve/costmodel.hpp"
-#include "simd/dispatch.hpp"
 
 namespace sparta::serve {
 
@@ -56,13 +55,6 @@ struct SelectorConfig {
 
   /// Weight of the newest observation in the latency EWMA.
   double ewma_alpha = 0.3;
-
-  /// Prefer the SIMD-probed swiss tables (simd/swiss_table.hpp) for the
-  /// hash-table variants when a vector ISA is active. The service maps
-  /// this onto ContractOptions::use_swiss_tables and the plan cache's
-  /// table kind; under SPARTA_SIMD=scalar the chained tables keep their
-  /// edge and are used instead.
-  bool prefer_swiss_tables = true;
 
   /// Path to a sparta_autotune model file used as the cold-start prior;
   /// empty = analytic seeding (explore-first). Load failures throw
@@ -115,13 +107,6 @@ class VariantSelector {
 
   /// Picks the variant for one request.
   [[nodiscard]] Algorithm choose(const RequestFeatures& f);
-
-  /// Whether requests should run on the swiss tables: configured
-  /// preference AND a vector ISA actually active (scalar machines or
-  /// SPARTA_SIMD=scalar keep the chained tables).
-  [[nodiscard]] bool swiss_tables_enabled() const {
-    return cfg_.prefer_swiss_tables && simd::vector_isa_active();
-  }
 
   /// Feeds back one completed request: `seconds` of contraction time
   /// over `work` units (nnz_x + nnz_y), into the key's EWMA row and the

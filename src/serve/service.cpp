@@ -13,16 +13,11 @@
 #include "obs/trace.hpp"
 #include "serve/costmodel.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/swiss_table.hpp"
 
 namespace sparta::serve {
 
 namespace {
-
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 constexpr std::size_t kUnlimited = static_cast<std::size_t>(-1);
 
@@ -113,7 +108,6 @@ std::string ServeReport::to_json() const {
   w.key("exec_seconds").value(exec_seconds);
   w.key("cancel_seconds").value(cancel_seconds);
   w.key("retries").value(retries);
-  w.key("swiss_tables").value(swiss_tables);
   w.key("pred_seconds").value(pred_seconds);
   w.key("nnz_z").value(static_cast<std::uint64_t>(stats.nnz_z));
   if (!error.empty()) w.key("error").value(std::string_view(error));
@@ -159,8 +153,6 @@ ContractionService::ContractionService(ServeConfig cfg)
                 static_cast<double>(cfg_.dram_budget_bytes) *
                 cfg_.cache_fraction);
   pc.registry = &alloc_;
-  pc.hty_buckets = cfg_.hty_buckets;
-  pc.use_swiss_tables = selector_.swiss_tables_enabled();
   cache_ = std::make_unique<PlanCache>(pc);
 
   if (!cfg_.statlog_path.empty()) {
@@ -483,8 +475,6 @@ ServeReport ContractionService::execute(const ServeRequest& req,
     o.request_id = request_id;
     o.num_threads = threads_per_request_;
     o.cancel = cancel;  // every rung polls; Cancelled aborts the ladder
-    // rung_options() strips the flag off the SPA rung.
-    o.use_swiss_tables = selector_.swiss_tables_enabled();
     const std::size_t rem = remaining_budget();
     o.budget.bytes =
         rem == kUnlimited ? 0 : std::max<std::size_t>(rem, 1);
@@ -548,8 +538,7 @@ ServeReport ContractionService::execute(const ServeRequest& req,
   if (variant == Algorithm::kSparta && !cached_plan &&
       remaining != kUnlimited) {
     const std::size_t est_hty = estimate_hty_bytes(
-        y.nnz(), y.order(),
-        pow2_at_least(std::max<std::size_t>(y.nnz(), 1)));
+        y.nnz(), y.order(), simd::detail::swiss_slots_for(y.nnz()));
     if (floor_bytes + est_hty > remaining) {
       if (!cfg_.allow_degrade) {
         rep.rejected = true;
@@ -577,11 +566,6 @@ ServeReport ContractionService::execute(const ServeRequest& req,
   // Charges flow to the shared registry, whose capacity (the DRAM
   // budget) enforces the runtime gate across all concurrent requests.
   opts.registry = &alloc_;
-  // Swiss tables on every hash-table variant when a vector ISA is
-  // active; the cached plan's own table kind governs HtY either way.
-  opts.use_swiss_tables =
-      selector_.swiss_tables_enabled() && variant != Algorithm::kSpa;
-  rep.swiss_tables = opts.use_swiss_tables;
 
   try {
     Timer t;
@@ -657,8 +641,8 @@ void ContractionService::log_request(const ServeRequest& req,
   obs::JsonWriter w;
   w.begin_object();
   // Schema 2 = schema 1 plus the feature vector the cost model trains
-  // on (feature_version stamps its basis), the environment (SIMD tier,
-  // swiss tables), the deciding model, and the Eq. 5/6 predictions next
+  // on (feature_version stamps its basis), the environment (SIMD tier),
+  // the deciding model, and the Eq. 5/6 predictions next
   // to their measured counterparts.
   w.key("schema_version").value(2);
   w.key("feature_version").value(kCostFeatureVersion);
@@ -689,7 +673,6 @@ void ContractionService::log_request(const ServeRequest& req,
   w.key("degraded").value(rep.degraded);
   w.key("budget_exceeded").value(rep.budget_exceeded);
   w.key("simd_isa").value(simd::isa_name(simd::active_isa()));
-  w.key("swiss_tables").value(rep.swiss_tables);
   const std::string model_id = selector_.model_id();
   w.key("model_id").value(std::string_view(model_id));
   w.key("selector_prior")
@@ -714,15 +697,14 @@ void ContractionService::log_request(const ServeRequest& req,
   const std::size_t est_hty =
       hy.valid() ? estimate_hty_bytes(
                        hy.tensor->nnz(), hy.tensor->order(),
-                       pow2_at_least(
-                           std::max<std::size_t>(hy.tensor->nnz(), 1)))
+                       simd::detail::swiss_slots_for(hy.tensor->nnz()))
                  : 0;
   const std::size_t est_hta =
       hy.valid() && rep.stats.max_y_group > 0
           ? estimate_hta_bytes(
                 rep.stats.max_x_subtensor, rep.stats.max_y_group,
                 hy.tensor->order() - static_cast<int>(req.cy.size()),
-                pow2_at_least(
+                simd::detail::swiss_slots_for(
                     std::max<std::size_t>(rep.stats.max_y_group, 64)))
           : 0;
   w.key("est_hty_bytes").value(static_cast<std::uint64_t>(est_hty));

@@ -75,9 +75,6 @@ struct ServeConfig {
 
   SelectorConfig selector;
 
-  /// Forwarded to the plan cache (0 = auto bucket count).
-  std::size_t hty_buckets = 0;
-
   /// Stat store: when non-empty, every request appends one JSONL record
   /// (features, variant, cost, outcome) to this path, size-rotated at
   /// statlog_max_bytes across statlog_max_files files. Aggregate with
@@ -147,7 +144,6 @@ struct ServeReport {
   bool cancelled = false;   ///< unwound via CancelToken (any reason)
   bool deadline_exceeded = false;  ///< the cancel was a deadline trip
   bool budget_exceeded = false;    ///< failure traces back to the budget
-  bool swiss_tables = false;  ///< ran on the SIMD-probed swiss tables
   /// The loaded cost model's predicted wall seconds for the chosen
   /// variant (0 when serving on the analytic prior) — logged next to
   /// exec_seconds so prediction error is a first-class quantity.

@@ -1,33 +1,42 @@
-// Flat open-addressing hash tables with SIMD group probing — the
-// swiss-table alternative to the chained HtY (grouped_map.hpp) and the
-// probing HtA (linear_probe.hpp / accumulator.hpp).
+// The engine's hash tables: HtY (SwissYMap, paper §3.3) and HtA
+// (SwissAccumulator, §3.4), flat open-addressing tables with SIMD group
+// probing, plus the sort-based HtY build (group_by_key) that feeds
+// SwissYMap.
 //
-// Layout: one control byte per slot (empty 0x80 / deleted 0xFE / else
-// the low 7 bits of the hash as a tag) plus a parallel slot array.
-// Probing loads a 16-byte control group and compares all 16 tags in one
-// vector op (_mm_cmpeq_epi8 on x86, vceqq_u8 on aarch64); a miss costs
-// one cache line of metadata instead of one chained-bucket pointer
-// chase per step. The scalar fallback walks the same 16-slot groups in
-// the same ascending slot order, so every tier picks identical slots,
-// drains in identical order, and therefore accumulates floating point
-// in an identical order — forcing SPARTA_SIMD=scalar is bit-exact, the
-// invariant the isa-matrix CI job and `fuzz_sptc --isa-diff` enforce.
+// Layout: one control byte per slot (empty 0x80, else the low 7 bits
+// of the hash as a tag) plus a parallel slot array. Probing loads a
+// 16-byte control group and compares all 16 tags in one vector op
+// (_mm_cmpeq_epi8 on x86, vceqq_u8 on aarch64); a miss costs one cache
+// line of metadata instead of one chained-bucket pointer chase per
+// step. The scalar fallback walks the same 16-slot groups in the same
+// ascending slot order, so every tier picks identical slots and
+// therefore accumulates floating point in an identical order — forcing
+// SPARTA_SIMD=scalar is bit-exact, the invariant the isa-matrix CI job
+// and `fuzz_sptc --isa-diff` enforce. Entries are never erased, so
+// there are no tombstones.
 //
-// ContractOptions::use_swiss_tables switches contraction onto these;
-// docs/SIMD.md covers the dispatch rules.
+// The paper's chained HtY survives only as a reference
+// (hashtable/grouped_map.hpp); docs/SIMD.md covers the dispatch rules.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
-#include "hashtable/grouped_map.hpp"
+#include "common/failpoint.hpp"
+#include "common/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/sort.hpp"
 #include "tensor/types.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -37,16 +46,135 @@
 #include <arm_neon.h>
 #endif
 
+namespace sparta {
+
+/// One Y non-zero as seen by the accumulation stage: its free-mode LN key
+/// and value.
+struct FreeItem {
+  lnkey_t free_key;
+  value_t val;
+};
+
+/// One key's items: HtyRuns::items[begin, begin + count).
+struct KeyRun {
+  lnkey_t key;
+  std::uint32_t begin;
+  std::uint32_t count;
+};
+
+/// HtY's content in flat form: the items of each distinct key form one
+/// contiguous run, in input order; `runs` ascend by key, one per key.
+/// SwissYMap is built from this (group_by_key makes it).
+struct HtyRuns {
+  std::vector<FreeItem> items;
+  std::vector<KeyRun> runs;
+  std::size_t max_run = 0;  ///< largest run: the paper's nnz_Fmax^Y
+};
+
+/// HtY's bulk build (paper §3.3 stage ①, sort-based) over `n` Y
+/// non-zeros. fill(b, e, keys, items) writes, for each i in [b, e),
+/// keys[i] = (a contract key, i) and items[i] = that non-zero's item.
+/// The pairs are stably sorted by key, and items[position] is gathered
+/// into one contiguous run per distinct key, in input order, so the
+/// result is the same at any thread count. One
+/// simd::sort_ln_pairs_team() runs the fill and the sort on `nthreads`
+/// threads, or on one for small inputs (team_size()); the gather, with
+/// the run starts found inside each sorted range, follows on the same
+/// team once the sort has freed its scratch, so at most three arrays of
+/// n pairs (keys, items, gathered items; 48 bytes per non-zero) are
+/// live at once. The calling thread then joins the ranges' runs in
+/// order. `key_bits` bounds the keys' width; `cancel` is polled, and
+/// the `plan.build` failpoint evaluated, before each block of the fill
+/// (and `sort.radix_pass` in the sort).
+template <typename Fill>
+[[nodiscard]] HtyRuns group_by_key(std::size_t n, int key_bits, int nthreads,
+                                   const CancelToken& cancel, Fill&& fill) {
+  SPARTA_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
+               "HtY holds at most 2^32 - 1 items, got " + std::to_string(n));
+  std::vector<std::pair<lnkey_t, std::uint32_t>> keys(n);
+  std::vector<FreeItem> items(n);
+  // Range d of the sort: [range_begin[d], range_end[d]), and how many
+  // pairs after its first start a run.
+  std::array<std::size_t, 256> range_begin{};
+  std::array<std::size_t, 256> range_end{};
+  std::array<std::size_t, 256> range_starts{};
+  const int team = team_size(n, nthreads);
+  simd::sort_ln_pairs_team(
+      keys, key_bits, team, cancel,
+      [&](std::size_t b, std::size_t e) {
+        SPARTA_FAILPOINT("plan.build");
+        cancel.check("plan.build");
+        fill(b, e, keys.data(), items.data());
+      },
+      [&](std::size_t d, std::size_t b, std::size_t e) {
+        range_begin[d] = b;
+        range_end[d] = e;
+      });
+
+  HtyRuns out;
+  out.items.resize(n);
+  // The pairs after a range's first that start a run go, in order, into
+  // the range's own position slots, which its gather has finished
+  // reading. Empty ranges (b == e) are skipped.
+  auto gather = [&](std::size_t d) {
+    const std::size_t b = range_begin[d];
+    const std::size_t e = range_end[d];
+    for (std::size_t j = b; j < e; ++j) {
+      out.items[j] = items[keys[j].second];
+    }
+    std::size_t c = 0;
+    for (std::size_t j = b + 1; j < e; ++j) {
+      if (keys[j].first != keys[j - 1].first) {
+        keys[b + c++].second = static_cast<std::uint32_t>(j);
+      }
+    }
+    range_starts[d] = c;
+  };
+  if (team > 1) {
+#pragma omp parallel for schedule(dynamic, 1) num_threads(team)
+    for (int d = 0; d < 256; ++d) gather(static_cast<std::size_t>(d));
+  } else {
+    gather(0);
+  }
+  // Freed before the runs are joined. (`items = {}` would keep the
+  // capacity: it assigns from an empty initializer_list.)
+  items = std::vector<FreeItem>();
+
+  std::size_t total = 0;
+  for (std::size_t d = 0; d < 256; ++d) total += range_starts[d] + 1;
+  out.runs.reserve(total);
+  auto add_run = [&](std::size_t j) {
+    out.runs.push_back({keys[j].first, static_cast<std::uint32_t>(j), 0});
+  };
+  for (std::size_t d = 0; d < 256; ++d) {
+    const std::size_t b = range_begin[d];
+    if (b == range_end[d]) continue;
+    if (b == 0 || keys[b].first != keys[b - 1].first) add_run(b);
+    for (std::size_t c = 0; c < range_starts[d]; ++c) {
+      add_run(keys[b + c].second);
+    }
+  }
+  // Each run ends where the next begins.
+  for (std::size_t r = 0; r < out.runs.size(); ++r) {
+    const std::size_t end =
+        r + 1 < out.runs.size() ? out.runs[r + 1].begin : n;
+    out.runs[r].count = static_cast<std::uint32_t>(end - out.runs[r].begin);
+    out.max_run = std::max<std::size_t>(out.max_run, out.runs[r].count);
+  }
+  return out;
+}
+
+}  // namespace sparta
+
 namespace sparta::simd {
 
 /// Slots per control group — one 128-bit vector compare. Fixed across
 /// all tiers (including scalar) so probe sequences are ISA-independent.
 inline constexpr std::size_t kGroupWidth = 16;
 
-/// Control bytes. Full slots store a 7-bit tag (top bit clear), so one
-/// vector equality against the tag never matches empty or deleted.
+/// Control byte of an empty slot. Full slots store a 7-bit tag (top bit
+/// clear), so one vector equality against a tag never matches empty.
 inline constexpr std::uint8_t kCtrlEmpty = 0x80;
-inline constexpr std::uint8_t kCtrlDeleted = 0xFE;
 
 namespace detail {
 
@@ -94,41 +222,6 @@ namespace detail {
   return out;
 }
 
-/// Bitmask of empty OR deleted slots (both have the top bit set; full
-/// tags never do) — the insert-position mask.
-[[nodiscard]] inline std::uint32_t group_match_free(const std::uint8_t* ctrl,
-                                                    SimdIsa isa) {
-#if defined(__x86_64__) || defined(_M_X64)
-  if (isa == SimdIsa::kAvx2) {
-    const __m128i group =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ctrl));
-    // movemask already extracts the sign bit of every byte.
-    return static_cast<std::uint32_t>(_mm_movemask_epi8(group));
-  }
-#endif
-#if defined(__aarch64__)
-  if (isa == SimdIsa::kNeon) {
-    const uint8x16_t group = vld1q_u8(ctrl);
-    const uint8x16_t top = vtstq_u8(group, vdupq_n_u8(0x80));
-    const uint8x8_t nib = vshrn_n_u16(vreinterpretq_u16_u8(top), 4);
-    std::uint64_t m = vget_lane_u64(vreinterpret_u64_u8(nib), 0);
-    m &= 0x1111111111111111ULL;
-    std::uint32_t out = 0;
-    while (m != 0) {
-      out |= 1u << (std::countr_zero(m) >> 2);
-      m &= m - 1;
-    }
-    return out;
-  }
-#endif
-  (void)isa;
-  std::uint32_t out = 0;
-  for (std::size_t j = 0; j < kGroupWidth; ++j) {
-    if ((ctrl[j] & 0x80u) != 0) out |= 1u << j;
-  }
-  return out;
-}
-
 /// Group index (h1, top `group_bits` of the mixed hash) and 7-bit tag
 /// (h2, low bits) — disjoint slices of one multiply, so the tag carries
 /// information the group index does not.
@@ -150,11 +243,33 @@ namespace detail {
   return bits;
 }
 
+/// Slots of a table sized for `keys` entries: the bucket count the
+/// Eq. 5/6 pre-flight estimates use.
+[[nodiscard]] inline std::size_t swiss_slots_for(std::size_t keys) {
+  return (std::size_t{1} << swiss_group_bits_for(keys)) * kGroupWidth;
+}
+
+/// First empty slot on `key`'s probe sequence in a table of
+/// 2^group_bits groups (the key is known to be absent).
+[[nodiscard]] inline std::size_t first_empty_slot(const std::uint8_t* ctrl,
+                                                  lnkey_t key, int group_bits,
+                                                  SimdIsa isa,
+                                                  std::size_t& steps) {
+  const std::uint64_t group_mask = (std::uint64_t{1} << group_bits) - 1;
+  std::uint64_t g = swiss_h1(key, group_bits);
+  steps = 1;
+  std::uint32_t em = 0;
+  while ((em = group_match(ctrl + g * kGroupWidth, kCtrlEmpty, isa)) == 0) {
+    g = (g + 1) & group_mask;
+    ++steps;
+  }
+  return g * kGroupWidth + static_cast<std::size_t>(std::countr_zero(em));
+}
+
 }  // namespace detail
 
 /// Swiss-table HtY: LN contract key -> the run of (free key, value)
-/// items sharing it, mirroring GroupedHashMap's whole surface so
-/// YPlan/contract can hold either behind one generic code path.
+/// items sharing it.
 ///
 /// Built in one pass from HtyRuns: the slot array is sized from the
 /// distinct-key count (≤ 7/8 load), so it never grows, and every key is
@@ -172,28 +287,19 @@ class SwissYMap {
     ctrl_.assign(slots, kCtrlEmpty);
     slots_.resize(slots);
     const SimdIsa isa = active_isa();
-    const std::uint64_t group_mask = num_groups() - 1;
     for (const KeyRun& r : runs.runs) {
-      // Keys are distinct, so a new key takes the first free slot of its
-      // probe sequence without looking for an existing match.
+      // Keys are distinct, so a new key takes the first empty slot of
+      // its probe sequence without looking for an existing match.
       SPARTA_ASSERT(&r == runs.runs.data() || (&r - 1)->key < r.key);
-      std::uint64_t g = detail::swiss_h1(r.key, group_bits_);
-      std::size_t steps = 1;
-      std::uint32_t free_mask = 0;
-      while ((free_mask = detail::group_match_free(
-                  ctrl_.data() + g * kGroupWidth, isa)) == 0) {
-        g = (g + 1) & group_mask;
-        ++steps;
-      }
-      const std::size_t s =
-          g * kGroupWidth +
-          static_cast<std::size_t>(std::countr_zero(free_mask));
+      std::size_t steps = 0;
+      const std::size_t s = detail::first_empty_slot(
+          ctrl_.data(), r.key, group_bits_, isa, steps);
       ctrl_[s] = detail::swiss_h2(r.key);
       slots_[s] = r;
-      ++size_;
-      SPARTA_COUNTER_ADD("simd.swiss_hty.insert_steps", steps);
+      SPARTA_COUNTER_ADD("hty.insert_steps", steps);
     }
-    SPARTA_COUNTER_ADD("simd.swiss_hty.inserts", items_.size());
+    size_ = runs.runs.size();
+    SPARTA_COUNTER_ADD("hty.inserts", items_.size());
   }
 
   /// Items for `key`, or an empty span when absent.
@@ -232,7 +338,8 @@ class SwissYMap {
 
   [[nodiscard]] std::size_t num_buckets() const { return slots_.size(); }
 
-  /// Measured heap footprint (ctrl bytes + slots + items).
+  /// Measured heap footprint (ctrl bytes + slots + items), the quantity
+  /// Eq. 5 estimates for DRAM placement.
   [[nodiscard]] std::size_t footprint_bytes() const {
     return ctrl_.capacity() + slots_.capacity() * sizeof(KeyRun) +
            items_.capacity() * sizeof(FreeItem);
@@ -256,13 +363,12 @@ class SwissYMap {
     return {items_.data() + r.begin, r.count};
   }
 
-  // Same shape as the chained HtY's telemetry, under simd.* names so
-  // the two tables are distinguishable in one metrics dump. `steps`
-  // counts 16-wide groups probed, not individual slots.
+  // HtY probe telemetry (docs/OBSERVABILITY.md). `steps` counts 16-wide
+  // groups probed, not individual slots.
   static void count_probe(std::size_t steps) {
-    SPARTA_COUNTER_ADD("simd.swiss_hty.probes", 1);
-    SPARTA_COUNTER_ADD("simd.swiss_hty.probe_steps", steps);
-    SPARTA_HISTOGRAM_RECORD("simd.swiss_hty.probe_len", steps);
+    SPARTA_COUNTER_ADD("hty.probes", 1);
+    SPARTA_COUNTER_ADD("hty.probe_steps", steps);
+    SPARTA_HISTOGRAM_RECORD("hty.probe_len", steps);
   }
 
   int group_bits_;
@@ -273,191 +379,126 @@ class SwissYMap {
   std::size_t max_group_;
 };
 
-/// Swiss-table sparse accumulator (HtA/SPA): flat (key, value) slots
-/// probed by 16-wide tag compare. Same accumulate/drain/clear surface
-/// as HashAccumulator and LinearProbeAccumulator; additionally supports
-/// erase(), which leaves a tombstone so later probes for keys that
-/// passed through the slot still terminate correctly.
+/// Swiss-table sparse accumulator (HtA): LN free key -> running sum.
+///
+/// The (key, value) entries live densely in insertion order; a full
+/// slot holds its entry's 4-byte index, and each entry remembers its
+/// slot. drain() and clear() therefore walk the entries, not the slots:
+/// O(size) however large the table has grown. Drain order is insertion
+/// order — fixed by the accumulate() sequence alone, identical across
+/// ISA tiers, thread counts and table sizes.
 class SwissAccumulator {
  public:
-  explicit SwissAccumulator(std::size_t expected_keys = 64) {
-    group_bits_ = detail::swiss_group_bits_for(expected_keys);
-    const std::size_t slots = num_groups() * kGroupWidth;
-    ctrl_.assign(slots, kCtrlEmpty);
-    slots_.assign(slots, Slot{});
-  }
+  explicit SwissAccumulator(std::size_t expected_keys = 64)
+      : group_bits_(detail::swiss_group_bits_for(expected_keys)),
+        ctrl_(num_groups() * kGroupWidth, kCtrlEmpty),
+        index_(ctrl_.size()) {}
 
+  /// Adds `v` to the entry for `key`, inserting it when absent.
   void accumulate(lnkey_t key, value_t v) {
-    SPARTA_ASSERT(key != kReservedKey);
     const SimdIsa isa = active_isa();
     const std::uint8_t tag = detail::swiss_h2(key);
     const std::uint64_t group_mask = num_groups() - 1;
     std::uint64_t g = detail::swiss_h1(key, group_bits_);
     std::size_t steps = 0;
-    // First tombstone on the probe path: reusable insert position, but
-    // only once the key is proven absent (an empty group ends probing).
-    std::size_t tombstone = kNoSlot;
     while (true) {
       ++steps;
       const std::uint8_t* ctrl = ctrl_.data() + g * kGroupWidth;
       for (std::uint32_t m = detail::group_match(ctrl, tag, isa); m != 0;
            m &= m - 1) {
-        const std::size_t s =
-            g * kGroupWidth + static_cast<std::size_t>(std::countr_zero(m));
-        if (slots_[s].key == key) {
+        Entry& e = entries_[index_[g * kGroupWidth +
+                                   static_cast<std::size_t>(
+                                       std::countr_zero(m))]];
+        if (e.key == key) {
           count_probe(steps);
-          slots_[s].val += v;
+          e.val += v;
           return;
-        }
-      }
-      if (tombstone == kNoSlot) {
-        const std::uint32_t dm = detail::group_match(ctrl, kCtrlDeleted, isa);
-        if (dm != 0) {
-          tombstone = g * kGroupWidth +
-                      static_cast<std::size_t>(std::countr_zero(dm));
         }
       }
       const std::uint32_t em = detail::group_match(ctrl, kCtrlEmpty, isa);
       if (em != 0) {
-        std::size_t s = tombstone;
-        if (s == kNoSlot) {
-          // Growth watches occupied = full + tombstones: probe chains
-          // terminate on empty slots, so tombstones count against load.
-          if ((occupied_ + 1) * 8 > slots_.size() * 7) {
-            grow();
-            accumulate(key, v);
-            return;
-          }
-          s = g * kGroupWidth +
-              static_cast<std::size_t>(std::countr_zero(em));
-          ++occupied_;
+        if ((entries_.size() + 1) * 8 > ctrl_.size() * 7) {
+          grow();
+          accumulate(key, v);
+          return;
         }
         count_probe(steps);
+        const std::size_t s =
+            g * kGroupWidth + static_cast<std::size_t>(std::countr_zero(em));
         ctrl_[s] = tag;
-        slots_[s].key = key;
-        slots_[s].val = v;
-        ++size_;
+        index_[s] = static_cast<std::uint32_t>(entries_.size());
+        entries_.push_back({key, v, static_cast<std::uint32_t>(s)});
         return;
       }
       g = (g + 1) & group_mask;
     }
   }
 
-  /// Removes `key` if present, leaving a tombstone. Returns whether a
-  /// live entry was removed.
-  bool erase(lnkey_t key) {
-    const SimdIsa isa = active_isa();
-    const std::uint8_t tag = detail::swiss_h2(key);
-    const std::uint64_t group_mask = num_groups() - 1;
-    std::uint64_t g = detail::swiss_h1(key, group_bits_);
-    while (true) {
-      const std::uint8_t* ctrl = ctrl_.data() + g * kGroupWidth;
-      for (std::uint32_t m = detail::group_match(ctrl, tag, isa); m != 0;
-           m &= m - 1) {
-        const std::size_t s =
-            g * kGroupWidth + static_cast<std::size_t>(std::countr_zero(m));
-        if (slots_[s].key == key) {
-          ctrl_[s] = kCtrlDeleted;  // occupied_ unchanged: still blocks
-          slots_[s] = Slot{};
-          --size_;
-          return true;
-        }
-      }
-      if (detail::group_match(ctrl, kCtrlEmpty, isa) != 0) return false;
-      g = (g + 1) & group_mask;
-    }
-  }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  [[nodiscard]] std::size_t num_buckets() const { return ctrl_.size(); }
 
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t num_buckets() const { return slots_.size(); }
-
+  /// Heap footprint; the quantity bounded by Eq. 6 for DRAM placement.
   [[nodiscard]] std::size_t footprint_bytes() const {
-    return ctrl_.capacity() + slots_.capacity() * sizeof(Slot);
+    return ctrl_.capacity() + index_.capacity() * sizeof(index_[0]) +
+           entries_.capacity() * sizeof(Entry);
   }
 
-  /// Visits live entries in slot order — fixed by insertion history,
-  /// identical across ISA tiers (the FP-determinism linchpin: drain
-  /// order is accumulation order downstream).
+  /// Visits each (key, value) pair in insertion order. O(size).
   template <typename F>
   void drain(F&& f) const {
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if ((ctrl_[s] & 0x80u) == 0) f(slots_[s].key, slots_[s].val);
-    }
+    for (const Entry& e : entries_) f(e.key, e.val);
   }
 
-  /// Empties the table (tombstones included), keeping capacity. Only
-  /// the control bytes are reset: probes and drains read a slot only
-  /// after its control byte marks it full, and an insert writes both.
+  /// Empties the table, keeping its capacity for reuse. O(size): only
+  /// the entries' own control bytes are reset.
   void clear() {
-    std::fill(ctrl_.begin(), ctrl_.end(), kCtrlEmpty);
-    size_ = 0;
-    occupied_ = 0;
+    for (const Entry& e : entries_) ctrl_[e.slot] = kCtrlEmpty;
+    entries_.clear();
   }
 
  private:
-  // LinearProbeAccumulator's reserved sentinel; kept out of the key
-  // space here too so the two accumulators stay interchangeable.
-  static constexpr lnkey_t kReservedKey = std::numeric_limits<lnkey_t>::max();
-  static constexpr std::size_t kNoSlot =
-      std::numeric_limits<std::size_t>::max();
-
-  struct Slot {
-    lnkey_t key = 0;
-    value_t val = 0;
+  struct Entry {
+    lnkey_t key;
+    value_t val;
+    std::uint32_t slot;
   };
 
   [[nodiscard]] std::size_t num_groups() const {
     return std::size_t{1} << group_bits_;
   }
 
+  // Doubles the groups and re-enters every entry in insertion order;
+  // the entries themselves do not move.
   void grow() {
-    SPARTA_COUNTER_ADD("simd.swiss_hta.grows", 1);
-    std::vector<std::uint8_t> old_ctrl;
-    std::vector<Slot> old_slots;
-    old_ctrl.swap(ctrl_);
-    old_slots.swap(slots_);
+    SPARTA_COUNTER_ADD("hta.grows", 1);
+    SPARTA_CHECK(group_bits_ < 27, "swiss HtA exceeds 2^31 slots");
     ++group_bits_;
-    const std::size_t slots = num_groups() * kGroupWidth;
-    ctrl_.assign(slots, kCtrlEmpty);
-    slots_.assign(slots, Slot{});
-    size_ = 0;
-    occupied_ = 0;  // rehash drops tombstones
+    ctrl_.assign(num_groups() * kGroupWidth, kCtrlEmpty);
+    index_.resize(ctrl_.size());
     const SimdIsa isa = active_isa();
-    const std::uint64_t group_mask = num_groups() - 1;
-    for (std::size_t s = 0; s < old_slots.size(); ++s) {
-      if ((old_ctrl[s] & 0x80u) != 0) continue;
-      const lnkey_t key = old_slots[s].key;
-      std::uint64_t g = detail::swiss_h1(key, group_bits_);
-      while (true) {
-        const std::uint8_t* ctrl = ctrl_.data() + g * kGroupWidth;
-        const std::uint32_t free_mask = detail::group_match_free(ctrl, isa);
-        if (free_mask != 0) {
-          const std::size_t d =
-              g * kGroupWidth +
-              static_cast<std::size_t>(std::countr_zero(free_mask));
-          ctrl_[d] = detail::swiss_h2(key);
-          slots_[d] = old_slots[s];
-          ++size_;
-          ++occupied_;
-          break;
-        }
-        g = (g + 1) & group_mask;
-      }
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      Entry& e = entries_[i];
+      std::size_t steps = 0;
+      const std::size_t s = detail::first_empty_slot(ctrl_.data(), e.key,
+                                                     group_bits_, isa, steps);
+      ctrl_[s] = detail::swiss_h2(e.key);
+      index_[s] = static_cast<std::uint32_t>(i);
+      e.slot = static_cast<std::uint32_t>(s);
     }
   }
 
+  // HtA probe telemetry (docs/OBSERVABILITY.md), in 16-wide groups.
   static void count_probe(std::size_t steps) {
-    SPARTA_COUNTER_ADD("simd.swiss_hta.accumulates", 1);
-    SPARTA_COUNTER_ADD("simd.swiss_hta.probe_steps", steps);
-    SPARTA_HISTOGRAM_RECORD("simd.swiss_hta.probe_len", steps);
+    SPARTA_COUNTER_ADD("hta.accumulates", 1);
+    SPARTA_COUNTER_ADD("hta.probe_steps", steps);
+    SPARTA_HISTOGRAM_RECORD("hta.probe_len", steps);
   }
 
-  int group_bits_ = 1;
-  std::size_t size_ = 0;      ///< live entries
-  std::size_t occupied_ = 0;  ///< live + tombstoned (load-factor input)
+  int group_bits_;
   std::vector<std::uint8_t> ctrl_;
-  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> index_;  ///< full slot -> its entry
+  std::vector<Entry> entries_;        ///< insertion order
 };
 
 }  // namespace sparta::simd

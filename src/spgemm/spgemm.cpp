@@ -7,7 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "hashtable/linear_probe.hpp"
+#include "simd/swiss_table.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -96,8 +96,8 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
     {
       // Thread-local state built under the guard: every thread must
       // still reach the `omp for` below even if construction throws.
-      std::unique_ptr<LinearProbeAccumulator> acc;
-      ec.run([&] { acc = std::make_unique<LinearProbeAccumulator>(64); });
+      std::unique_ptr<simd::SwissAccumulator> acc;
+      ec.run([&] { acc = std::make_unique<simd::SwissAccumulator>(64); });
 #pragma omp for schedule(dynamic, 64)
       for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows);
            ++r) {
@@ -122,12 +122,12 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
     // Thread-local accumulators, constructed once — under the guard so a
     // throwing constructor cannot skip the worksharing constructs below.
     std::unique_ptr<DenseSpaRow> spa;
-    std::unique_ptr<LinearProbeAccumulator> hash;
+    std::unique_ptr<simd::SwissAccumulator> hash;
     numeric_ec.run([&] {
       if (opts.accumulator == SpgemmAccumulator::kDenseSpa) {
         spa = std::make_unique<DenseSpaRow>(b.cols());
       }
-      hash = std::make_unique<LinearProbeAccumulator>(256);
+      hash = std::make_unique<simd::SwissAccumulator>(256);
     });
     std::size_t flops = 0;
 
@@ -159,7 +159,7 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
           cols_out.push_back(static_cast<index_t>(c));
           vals_out.push_back(v);
         });
-        // Hash drain order is arbitrary; sort the row by column.
+        // Hash drain order is insertion order; sort the row by column.
         std::vector<std::size_t> perm(cols_out.size());
         std::iota(perm.begin(), perm.end(), std::size_t{0});
         std::sort(perm.begin(), perm.end(), [&](std::size_t x, std::size_t y) {

@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "hashtable/grouped_map.hpp"
+#include "simd/swiss_table.hpp"
 
 namespace sparta {
 

@@ -218,8 +218,7 @@ TEST(CancelEngine, GatherOverManyRowChunksUnwindsCleanly) {
         },
         algorithm_name(alg));
   }
-  const YPlan plan(y, cy, /*hty_buckets=*/0, /*num_threads=*/1,
-                   /*use_swiss=*/false);
+  const YPlan plan(y, cy, /*num_threads=*/1);
   expect_cancelled(
       [&](const ContractOptions& o, AllocationRegistry*) {
         return contract_csf(x, plan, cx, o);

@@ -282,18 +282,6 @@ TEST(ContractOptionsTest, ExplicitThreadCountsAgree) {
   }
 }
 
-TEST(ContractOptionsTest, HtyBucketCountDoesNotChangeResult) {
-  const SparseTensor x = random_tensor({15, 15, 15}, 400, 5);
-  const SparseTensor y = random_tensor({15, 15, 15}, 400, 6);
-  ContractOptions small;
-  small.hty_buckets = 4;  // forces long chains
-  ContractOptions big;
-  big.hty_buckets = 1 << 16;
-  const SparseTensor zs = contract_tensor(x, y, {2}, {0}, small);
-  const SparseTensor zb = contract_tensor(x, y, {2}, {0}, big);
-  EXPECT_TRUE(SparseTensor::approx_equal(zs, zb, 1e-9));
-}
-
 // --- Stats -----------------------------------------------------------
 
 TEST(ContractStatsTest, CountersAreConsistent) {
@@ -368,22 +356,15 @@ TEST(Contract, RejectsOverflowingFreeKeySpaceAtPlanTime) {
 struct Engine {
   const char* name;
   Algorithm algorithm;
-  bool swiss;
-  bool linear_probe;
   bool csf;  // contract_csf() through a YPlan
 };
 
 constexpr Engine kEngines[] = {
-    {"spa", Algorithm::kSpa, false, false, false},
-    {"coohta", Algorithm::kCooHta, false, false, false},
-    {"coohta_swiss", Algorithm::kCooHta, true, false, false},
-    {"sparta", Algorithm::kSparta, false, false, false},
-    {"sparta_linear_probe", Algorithm::kSparta, false, true, false},
-    {"sparta_swiss", Algorithm::kSparta, true, false, false},
-    {"coobinary", Algorithm::kCooBinary, false, false, false},
-    {"coobinary_swiss", Algorithm::kCooBinary, true, false, false},
-    {"csf", Algorithm::kSparta, false, false, true},
-    {"csf_swiss", Algorithm::kSparta, true, false, true},
+    {"spa", Algorithm::kSpa, false},
+    {"coohta", Algorithm::kCooHta, false},
+    {"sparta", Algorithm::kSparta, false},
+    {"coobinary", Algorithm::kCooBinary, false},
+    {"csf", Algorithm::kSparta, true},
 };
 
 struct Shape {
@@ -400,6 +381,19 @@ std::vector<Shape> writeback_shapes() {
   // initial capacity.
   s.push_back({"grow", random_tensor({40, 30}, 300, 11),
                random_tensor({30, 1500}, 6000, 12), {1}, {0}});
+  // The first sub-tensor grows its thread's HtA; every later one fits
+  // the initial table. At one thread they all run in the grown table,
+  // at four most run in fresh ones, and their unsorted runs must not
+  // tell the two apart.
+  {
+    SparseTensor x({40, 30});
+    for (index_t j = 0; j < 30; ++j) x.append(std::vector<index_t>{0, j}, 1.0);
+    for (index_t i = 1; i < 40; ++i) {
+      x.append(std::vector<index_t>{i, (i * 7) % 30}, 0.5 + i);
+    }
+    s.push_back({"small_after_grow", std::move(x),
+                 random_tensor({30, 1500}, 6000, 12), {1}, {0}});
+  }
   s.push_back({"three_mode", random_tensor({10, 12, 8}, 150, 13),
                random_tensor({8, 9, 7}, 120, 14), {2}, {0}});
   // X fully contracted: one sub-tensor holds all of Z.
@@ -435,14 +429,11 @@ ContractResult run_engine(const Engine& e, const Shape& s, int threads,
                           bool sorted, bool shared_writeback = false) {
   ContractOptions o;
   o.algorithm = e.algorithm;
-  o.use_swiss_tables = e.swiss;
-  o.use_linear_probe_hta = e.linear_probe;
   o.num_threads = threads;
   o.sort_output = sorted;
   o.ablation_shared_writeback = shared_writeback;
   if (e.csf) {
-    const YPlan plan(s.y, s.cy, /*hty_buckets=*/0, /*num_threads=*/1,
-                     e.swiss);
+    const YPlan plan(s.y, s.cy, /*num_threads=*/1);
     return contract_csf(s.x, plan, s.cx, o);
   }
   return contract(s.x, s.y, s.cx, s.cy, o);

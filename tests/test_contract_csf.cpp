@@ -32,21 +32,6 @@ TEST(ContractCsf, MatchesCooPipeline) {
   EXPECT_EQ(coo.stats.multiplies, csf.stats.multiplies);
 }
 
-TEST(ContractCsf, ServesSwissBuiltPlan) {
-  const SparseTensor x = rand_t({12, 14, 16}, 500, 1);
-  const SparseTensor y = rand_t({14, 16, 10}, 450, 2);
-  const Modes cx{1, 2};
-  const YPlan plan(y, {0, 1}, /*hty_buckets=*/0, /*num_threads=*/1,
-                   /*use_swiss_tables=*/true);
-  const ContractResult coo = contract(x, plan, cx);
-  const ContractResult csf = contract_csf(x, plan, cx);
-  EXPECT_TRUE(SparseTensor::approx_equal(coo.z, csf.z, 1e-9));
-  EXPECT_EQ(coo.stats.searches, csf.stats.searches);
-  EXPECT_EQ(coo.stats.hits, csf.stats.hits);
-  EXPECT_EQ(coo.stats.multiplies, csf.stats.multiplies);
-  EXPECT_EQ(coo.stats.hty_bytes, csf.stats.hty_bytes);
-}
-
 TEST(ContractCsf, SweepOverModeCounts) {
   for (int m = 1; m <= 3; ++m) {
     PairedSpec ps;

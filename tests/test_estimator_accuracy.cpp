@@ -13,6 +13,7 @@
 #include "plan/executor.hpp"
 #include "plan/ir.hpp"
 #include "serve/service.hpp"
+#include "simd/swiss_table.hpp"
 #include "tensor/generators.hpp"
 
 namespace sparta {
@@ -57,20 +58,15 @@ MeasuredCase run_tracked(int contract_modes, std::size_t nnz,
   return mc;
 }
 
-// Mirrors the engine's HtY auto bucket sizing (≈ nnz_Y, next 2^k).
-std::size_t auto_buckets(std::size_t nnz_y) {
-  std::size_t buckets = 16;
-  while (buckets < nnz_y) buckets <<= 1;
-  return buckets;
-}
-
 TEST(EstimatorAccuracy, Eq5WithinFactorOfTrackedHtyPeakBothWays) {
   for (int m : {1, 2}) {
     for (std::size_t nnz : {1000u, 4000u}) {
       const MeasuredCase mc = run_tracked(m, nnz, 41 + nnz + m);
+      // The pre-flight's bucket term (contract.cpp): the slots of a
+      // swiss table sized for nnz_Y keys.
       const std::size_t est = estimate_hty_bytes(
           mc.result.stats.nnz_y, /*order_y=*/4,
-          auto_buckets(mc.result.stats.nnz_y));
+          simd::detail::swiss_slots_for(mc.result.stats.nnz_y));
       ASSERT_GT(mc.peak_hty, 0u) << m << "-mode nnz=" << nnz;
       EXPECT_LT(mc.peak_hty,
                 static_cast<std::size_t>(est * kEstimatorAccuracyFactor))

@@ -4,6 +4,7 @@
 
 #include "contraction/contract.hpp"
 #include "contraction/estimators.hpp"
+#include "simd/swiss_table.hpp"
 #include "tensor/generators.hpp"
 
 namespace sparta {
@@ -31,11 +32,11 @@ ContractResult run_case(int contract_modes, std::size_t nnz,
 TEST(Estimators, Eq5TracksMeasuredHtyFootprint) {
   for (int m : {1, 2}) {
     const ContractResult r = run_case(m, 4000, 17);
-    // Bucket count ≈ nnz rounded to the next power of two (auto sizing).
-    std::size_t buckets = 16;
-    while (buckets < r.stats.nnz_y) buckets <<= 1;
+    // The pre-flight's bucket term: the slots of a swiss table sized
+    // for nnz_Y keys.
     const std::size_t est = estimate_hty_bytes(
-        r.stats.nnz_y, /*order_y=*/4, buckets);
+        r.stats.nnz_y, /*order_y=*/4,
+        simd::detail::swiss_slots_for(r.stats.nnz_y));
     // Eq. 5 models the steady-state layout; vector growth slack means the
     // measured value can exceed it, but both must be the same scale.
     EXPECT_GT(est, r.stats.hty_bytes / 4) << m << "-mode";

@@ -140,16 +140,6 @@ TEST_F(FailpointTest, ValidateRejectsContradictoryOptions) {
   EXPECT_THROW(o.validate(), Error);
 
   o = {};
-  o.algorithm = Algorithm::kSpa;
-  o.use_linear_probe_hta = true;
-  EXPECT_THROW(o.validate(), Error);
-
-  o = {};
-  o.algorithm = Algorithm::kCooHta;
-  o.hty_buckets = 512;
-  EXPECT_THROW(o.validate(), Error);
-
-  o = {};
   o.budget.bytes = 1 << 20;
   o.budget.preflight = false;
   o.budget.runtime = false;

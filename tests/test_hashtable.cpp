@@ -1,5 +1,7 @@
-// Unit tests for the LN-keyed hash structures: GroupedHashMap (HtY),
-// HashAccumulator (HtA) and SpaAccumulator (SPA baseline).
+// Unit tests for the LN-keyed hash structures: the chained reference
+// HtY (GroupedHashMap), HtY's bulk build (group_by_key) and the SPA
+// baseline (SpaAccumulator). The swiss HtY and HtA are covered by
+// test_swiss_table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +12,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "hashtable/accumulator.hpp"
 #include "hashtable/grouped_map.hpp"
 #include "hashtable/hash.hpp"
 #include "hashtable/spa.hpp"
@@ -169,76 +170,6 @@ TEST(GroupByKey, SameRunsAtOneAndFourThreads) {
   }
   EXPECT_EQ(next, n);
   EXPECT_EQ(one.max_run, four.max_run);
-}
-
-// --- HashAccumulator ---------------------------------------------------
-
-TEST(HashAccumulator, AccumulatesByKey) {
-  HashAccumulator a(16);
-  a.accumulate(5, 1.5);
-  a.accumulate(5, 2.5);
-  a.accumulate(9, 1.0);
-  EXPECT_EQ(a.size(), 2u);
-  std::map<lnkey_t, value_t> out;
-  a.drain([&](lnkey_t k, value_t v) { out[k] = v; });
-  EXPECT_DOUBLE_EQ(out[5], 4.0);
-  EXPECT_DOUBLE_EQ(out[9], 1.0);
-}
-
-TEST(HashAccumulator, ClearKeepsBucketsReusable) {
-  HashAccumulator a(16);
-  a.accumulate(1, 1.0);
-  a.clear();
-  EXPECT_EQ(a.size(), 0u);
-  a.accumulate(1, 7.0);
-  EXPECT_EQ(a.size(), 1u);
-  a.drain([&](lnkey_t, value_t v) { EXPECT_DOUBLE_EQ(v, 7.0); });
-}
-
-TEST(HashAccumulator, MatchesMapOracleOnRandomStream) {
-  Rng rng(99);
-  HashAccumulator a(64);
-  std::map<lnkey_t, value_t> oracle;
-  for (int i = 0; i < 50'000; ++i) {
-    const lnkey_t k = rng.uniform(2000);
-    const value_t v = rng.uniform_double(-1.0, 1.0);
-    a.accumulate(k, v);
-    oracle[k] += v;
-  }
-  EXPECT_EQ(a.size(), oracle.size());
-  a.drain([&](lnkey_t k, value_t v) {
-    ASSERT_TRUE(oracle.count(k));
-    EXPECT_NEAR(v, oracle[k], 1e-9);
-  });
-}
-
-// clear() empties only the buckets filled since the last clear, and
-// the drain lists buckets in first-fill order: what a sub-tensor's
-// drain yields depends on its own entries alone.
-TEST(HashAccumulator, DrainAfterClearDependsOnlyOnNewEntries) {
-  HashAccumulator used(64);
-  Rng rng(5);
-  for (int i = 0; i < 3000; ++i) used.accumulate(rng.uniform(100'000), 1.0);
-  used.clear();
-  EXPECT_EQ(used.size(), 0u);
-  used.drain([](lnkey_t, value_t) { ADD_FAILURE() << "entry after clear"; });
-  HashAccumulator fresh(64);
-  for (int i = 0; i < 200; ++i) {
-    const lnkey_t k = rng.uniform(500);
-    used.accumulate(k, 0.25);
-    fresh.accumulate(k, 0.25);
-  }
-  std::vector<std::pair<lnkey_t, value_t>> a, b;
-  used.drain([&](lnkey_t k, value_t v) { a.emplace_back(k, v); });
-  fresh.drain([&](lnkey_t k, value_t v) { b.emplace_back(k, v); });
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.size(), used.size());
-}
-
-TEST(HashAccumulator, SurvivesHeavyCollisions) {
-  HashAccumulator a(1);  // 16 buckets for thousands of keys
-  for (lnkey_t k = 0; k < 5000; ++k) a.accumulate(k, 1.0);
-  EXPECT_EQ(a.size(), 5000u);
 }
 
 // --- SpaAccumulator ----------------------------------------------------

@@ -4,7 +4,6 @@
 
 #include <map>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -199,15 +198,14 @@ Groups storage_order_groups(const SparseTensor& y, const YPlan& plan) {
 // What the plan's HtY holds, read through both for_each_group and find.
 Groups plan_groups(const YPlan& plan) {
   Groups g;
-  plan.visit_hty([&](const auto& t) {
-    t.for_each_group([&](lnkey_t key, std::span<const FreeItem> items) {
-      EXPECT_EQ(g.count(key), 0u) << "key " << key << " visited twice";
-      auto& out = g[key];
-      for (const FreeItem& it : items) out.push_back({it.free_key, it.val});
-      const auto found = t.find(key);
-      EXPECT_EQ(found.data(), items.data()) << "key " << key;
-      EXPECT_EQ(found.size(), items.size()) << "key " << key;
-    });
+  const simd::SwissYMap& t = plan.hty();
+  t.for_each_group([&](lnkey_t key, std::span<const FreeItem> items) {
+    EXPECT_EQ(g.count(key), 0u) << "key " << key << " visited twice";
+    auto& out = g[key];
+    for (const FreeItem& it : items) out.push_back({it.free_key, it.val});
+    const auto found = t.find(key);
+    EXPECT_EQ(found.data(), items.data()) << "key " << key;
+    EXPECT_EQ(found.size(), items.size()) << "key " << key;
   });
   return g;
 }
@@ -223,14 +221,12 @@ void expect_plan_holds(const YPlan& plan, const Groups& want) {
   EXPECT_EQ(plan.max_group(), max_group);
 }
 
-class YPlanBuild : public ::testing::TestWithParam<std::tuple<bool, int>> {
+class YPlanBuild : public ::testing::TestWithParam<int> {
  protected:
-  bool swiss() const { return std::get<0>(GetParam()); }
-  int threads() const { return std::get<1>(GetParam()); }
-  YPlan build(const SparseTensor& y, Modes cy, std::size_t buckets = 0,
+  int threads() const { return GetParam(); }
+  YPlan build(const SparseTensor& y, Modes cy,
               CancelToken cancel = {}) const {
-    return YPlan(y, std::move(cy), buckets, threads(), swiss(),
-                 std::move(cancel));
+    return YPlan(y, std::move(cy), threads(), std::move(cancel));
   }
 };
 
@@ -249,16 +245,6 @@ TEST_P(YPlanBuild, GroupsFollowYStorageOrder) {
   expect_plan_holds(plan, storage_order_groups(y, plan));
 }
 
-TEST_P(YPlanBuild, SingleBucketChainsEveryKey) {
-  const SparseTensor y = rand_t({14, 16, 10}, 600, 92);
-  const YPlan plan = build(y, {0, 1}, /*buckets=*/1);
-  expect_plan_holds(plan, storage_order_groups(y, plan));
-  if (!swiss()) {
-    // The chained table's minimum: 16 buckets for ~220 keys.
-    plan.visit_hty([](const auto& t) { EXPECT_EQ(t.num_buckets(), 16u); });
-  }
-}
-
 TEST_P(YPlanBuild, OneKeyHoldsEveryItem) {
   const SparseTensor y = rand_t({1, 30, 40}, 500, 93);
   const YPlan plan = build(y, {0});
@@ -272,9 +258,7 @@ TEST_P(YPlanBuild, LargeBuildLosesNothing) {
   ASSERT_GE(y.nnz(), 100'000u);
   const YPlan plan = build(y, {1});
   expect_plan_holds(plan, storage_order_groups(y, plan));
-  std::size_t items = 0;
-  plan.visit_hty([&](const auto& t) { items = t.num_items(); });
-  EXPECT_EQ(items, y.nnz());
+  EXPECT_EQ(plan.hty().num_items(), y.nnz());
 }
 
 TEST_P(YPlanBuild, CancelAtPlanBuildUnwindsToZeroLiveBytes) {
@@ -284,7 +268,6 @@ TEST_P(YPlanBuild, CancelAtPlanBuildUnwindsToZeroLiveBytes) {
   ContractOptions o;
   o.algorithm = Algorithm::kSparta;
   o.num_threads = threads();
-  o.use_swiss_tables = swiss();
   o.registry = &reg;
   o.cancel = CancelToken::make();
   o.cancel.arm_at_site("plan.build");
@@ -295,15 +278,13 @@ TEST_P(YPlanBuild, CancelAtPlanBuildUnwindsToZeroLiveBytes) {
   // mid-build still unwinds out of the constructor.
   const CancelToken in_pass = CancelToken::make();
   in_pass.arm_after_checks(2);
-  EXPECT_THROW({ (void)build(y, {0, 1}, 0, in_pass); }, Cancelled);
+  EXPECT_THROW({ (void)build(y, {0, 1}, in_pass); }, Cancelled);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    KindsAndThreads, YPlanBuild,
-    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 4)),
-    [](const ::testing::TestParamInfo<std::tuple<bool, int>>& info) {
-      return std::string(std::get<0>(info.param) ? "swiss" : "chained") +
-             "_" + std::to_string(std::get<1>(info.param)) + "threads";
+    Threads, YPlanBuild, ::testing::Values(1, 4),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::to_string(info.param) + "threads";
     });
 
 // --- shared-writeback ablation path ------------------------------------

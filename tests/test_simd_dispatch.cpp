@@ -98,34 +98,30 @@ TEST(SimdDispatch, ForcedScalarIsBitwiseEqualToNative) {
   const SparseTensor x = generate_random(xs);
   const SparseTensor y = generate_random(ys);
 
-  for (const bool swiss : {false, true}) {
-    ContractOptions o;
-    o.algorithm = Algorithm::kSparta;
-    o.use_swiss_tables = swiss;
-    o.num_threads = 1;
+  ContractOptions o;
+  o.algorithm = Algorithm::kSparta;
+  o.num_threads = 1;
 
-    SparseTensor z_scalar;
-    {
-      ScopedIsaOverride force(SimdIsa::kScalar);
-      z_scalar = contract_tensor(x, y, {1, 2}, {0, 1}, o);
-    }
-    SparseTensor z_native;
-    {
-      ScopedIsaOverride force(detect_native_isa());
-      z_native = contract_tensor(x, y, {1, 2}, {0, 1}, o);
-    }
+  SparseTensor z_scalar;
+  {
+    ScopedIsaOverride force(SimdIsa::kScalar);
+    z_scalar = contract_tensor(x, y, {1, 2}, {0, 1}, o);
+  }
+  SparseTensor z_native;
+  {
+    ScopedIsaOverride force(detect_native_isa());
+    z_native = contract_tensor(x, y, {1, 2}, {0, 1}, o);
+  }
 
-    ASSERT_EQ(z_scalar.nnz(), z_native.nnz()) << "swiss=" << swiss;
-    for (std::size_t n = 0; n < z_scalar.nnz(); ++n) {
-      for (int m = 0; m < z_scalar.order(); ++m) {
-        ASSERT_EQ(z_scalar.index(n, m), z_native.index(n, m))
-            << "swiss=" << swiss << " nonzero " << n;
-      }
-      // Bitwise, not approximate: identical probe and drain order must
-      // give an identical FP accumulation order.
-      ASSERT_EQ(z_scalar.value(n), z_native.value(n))
-          << "swiss=" << swiss << " nonzero " << n;
+  ASSERT_EQ(z_scalar.nnz(), z_native.nnz());
+  for (std::size_t n = 0; n < z_scalar.nnz(); ++n) {
+    for (int m = 0; m < z_scalar.order(); ++m) {
+      ASSERT_EQ(z_scalar.index(n, m), z_native.index(n, m))
+          << "nonzero " << n;
     }
+    // Bitwise, not approximate: identical probe and drain order must
+    // give an identical FP accumulation order.
+    ASSERT_EQ(z_scalar.value(n), z_native.value(n)) << "nonzero " << n;
   }
 }
 

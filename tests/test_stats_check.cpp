@@ -107,9 +107,13 @@ TEST(StatsCheck, EngineAbsorbsCountersIntoRegistry) {
   EXPECT_EQ(reg.counter_value("contract.hits"), r.stats.hits);
   EXPECT_EQ(reg.counter_value("contract.multiplies"), r.stats.multiplies);
   EXPECT_EQ(reg.counter_value("contract.nnz_z"), r.stats.nnz_z);
-  // HtY build + HtA probes are live when metrics are on.
+  // HtY build + HtA probes are live when metrics are on, under the
+  // paper-object names; the tables emit no second set.
   EXPECT_GT(reg.counter_value("hty.inserts"), 0u);
+  EXPECT_GT(reg.counter_value("hty.probes"), 0u);
   EXPECT_GT(reg.counter_value("hta.accumulates"), 0u);
+  EXPECT_EQ(reg.counter_value("simd.swiss_hty.probes"), 0u);
+  EXPECT_EQ(reg.counter_value("simd.swiss_hta.accumulates"), 0u);
   // The whole export (counters + attached stage/stat sections) parses.
   EXPECT_TRUE(obs::json_valid(reg.to_json())) << reg.to_json();
   reg.reset();

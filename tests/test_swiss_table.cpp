@@ -1,11 +1,13 @@
 // Unit tests for the swiss-table HtY/HtA (simd/swiss_table.hpp):
-// chained-table parity, tombstone lifecycle, full-group wraparound,
-// exact HtY sizing, HtA growth, and the AllocationRegistry budget charge
-// when contraction runs on the swiss paths.
+// chained-table parity, full-group wraparound, exact HtY sizing, HtA
+// growth and insertion-order drain, and the AllocationRegistry budget
+// charge of a contraction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -27,17 +29,16 @@ TEST(SwissGroup, MatchMaskAgreesAcrossTiers) {
   for (int trial = 0; trial < 200; ++trial) {
     for (auto& c : ctrl) {
       const std::uint64_t r = rng() % 4;
-      c = r == 0   ? simd::kCtrlEmpty
-          : r == 1 ? simd::kCtrlDeleted
-                   : static_cast<std::uint8_t>(rng() & 0x7f);
+      c = r == 0 ? simd::kCtrlEmpty
+                 : static_cast<std::uint8_t>(rng() & 0x7f);
     }
     const auto tag = static_cast<std::uint8_t>(rng() & 0x7f);
     const auto native = simd::detect_native_isa();
-    EXPECT_EQ(simd::detail::group_match(ctrl, tag, simd::SimdIsa::kScalar),
-              simd::detail::group_match(ctrl, tag, native));
-    EXPECT_EQ(
-        simd::detail::group_match_free(ctrl, simd::SimdIsa::kScalar),
-        simd::detail::group_match_free(ctrl, native));
+    for (const std::uint8_t want : {tag, simd::kCtrlEmpty}) {
+      EXPECT_EQ(
+          simd::detail::group_match(ctrl, want, simd::SimdIsa::kScalar),
+          simd::detail::group_match(ctrl, want, native));
+    }
   }
 }
 
@@ -149,68 +150,73 @@ TEST(SwissAccumulator, AccumulatesDuplicateKeys) {
   EXPECT_DOUBLE_EQ(out[9], 1.0);
 }
 
-TEST(SwissAccumulator, EraseLeavesTombstoneAndDrainSkipsIt) {
-  simd::SwissAccumulator acc(16);
-  for (lnkey_t k = 0; k < 10; ++k) acc.accumulate(k, 1.0);
-  EXPECT_TRUE(acc.erase(4));
-  EXPECT_FALSE(acc.erase(4));   // already gone
-  EXPECT_FALSE(acc.erase(99));  // never present
-  EXPECT_EQ(acc.size(), 9u);
-  std::map<lnkey_t, value_t> out;
-  acc.drain([&](lnkey_t k, value_t v) { out[k] = v; });
-  EXPECT_EQ(out.size(), 9u);
-  EXPECT_EQ(out.count(4), 0u);
+TEST(SwissAccumulator, MatchesMapOracleOnRandomStream) {
+  Rng rng(99);
+  simd::SwissAccumulator acc(64);
+  std::map<lnkey_t, value_t> oracle;
+  for (int i = 0; i < 50'000; ++i) {
+    const lnkey_t k = rng.uniform(2000);
+    const value_t v = rng.uniform_double(-1.0, 1.0);
+    acc.accumulate(k, v);
+    oracle[k] += v;
+  }
+  EXPECT_EQ(acc.size(), oracle.size());
+  acc.drain([&](lnkey_t k, value_t v) {
+    ASSERT_TRUE(oracle.count(k));
+    EXPECT_NEAR(v, oracle[k], 1e-9);
+  });
 }
 
-TEST(SwissAccumulator, ProbeWalksPastTombstoneOnItsPath) {
-  // A key whose probe path passed through a slot that is later erased
-  // must still be found: tombstones terminate nothing.
-  simd::SwissAccumulator acc(1);  // 2 groups of 16
-  for (lnkey_t k = 0; k < 20; ++k) acc.accumulate(k * 77, 1.0);
-  for (lnkey_t k = 0; k < 20; k += 2) EXPECT_TRUE(acc.erase(k * 77));
-  for (lnkey_t k = 1; k < 20; k += 2) {
-    acc.accumulate(k * 77, 1.0);  // now 2.0 — must find, not duplicate
-  }
-  std::map<lnkey_t, value_t> out;
-  acc.drain([&](lnkey_t k, value_t v) { out[k] = v; });
-  EXPECT_EQ(out.size(), 10u);
-  for (lnkey_t k = 1; k < 20; k += 2) {
-    EXPECT_DOUBLE_EQ(out[k * 77], 2.0) << "key " << k * 77;
-  }
-}
-
-TEST(SwissAccumulator, TombstoneSlotIsReused) {
-  simd::SwissAccumulator acc(16);
-  for (lnkey_t k = 0; k < 8; ++k) acc.accumulate(k, 1.0);
-  const std::size_t buckets = acc.num_buckets();
-  EXPECT_TRUE(acc.erase(3));
-  // Erase + reinsert cycles must not inflate occupancy into a rehash.
-  for (int cycle = 0; cycle < 100; ++cycle) {
-    acc.accumulate(3, 1.0);
-    EXPECT_TRUE(acc.erase(3));
-  }
-  EXPECT_EQ(acc.num_buckets(), buckets);
-  EXPECT_EQ(acc.size(), 7u);
-}
-
-TEST(SwissAccumulator, GrowthDropsTombstonesAndKeepsValues) {
+// Growth re-enters every entry (from the smallest table, 2 groups, to
+// thousands of keys), and the largest and smallest LN keys are
+// ordinary keys.
+TEST(SwissAccumulator, GrowsAndKeepsEveryKey) {
   simd::SwissAccumulator acc(1);
-  std::map<lnkey_t, value_t> expected;
-  Rng rng(23);
-  for (int i = 0; i < 3000; ++i) {
-    const lnkey_t key = rng() % 400;
-    if (expected.count(key) != 0 && rng() % 3 == 0) {
-      EXPECT_TRUE(acc.erase(key));
-      expected.erase(key);
-    } else {
-      acc.accumulate(key, 1.0);
-      expected[key] += 1.0;
-    }
-  }
-  EXPECT_EQ(acc.size(), expected.size());
+  const std::size_t first = acc.num_buckets();
+  constexpr lnkey_t kMax = std::numeric_limits<lnkey_t>::max();
+  for (lnkey_t k = 0; k < 5000; ++k) acc.accumulate(k * 7919, 1.0);
+  acc.accumulate(kMax, 2.0);
+  acc.accumulate(0, 1.0);
+  EXPECT_GT(acc.num_buckets(), first);
+  EXPECT_EQ(acc.size(), 5001u);
   std::map<lnkey_t, value_t> out;
   acc.drain([&](lnkey_t k, value_t v) { out[k] = v; });
-  EXPECT_EQ(out, expected);
+  EXPECT_DOUBLE_EQ(out[0], 2.0);
+  EXPECT_DOUBLE_EQ(out[kMax], 2.0);
+  EXPECT_DOUBLE_EQ(out[7919 * 4999], 1.0);
+}
+
+// drain() lists entries in insertion order, whatever the table's size:
+// a table that grew and was cleared drains a new stream exactly as a
+// fresh table does, and as the stream's first-appearance order.
+TEST(SwissAccumulator, DrainsInInsertionOrderAfterGrowAndClear) {
+  simd::SwissAccumulator grown(16);
+  Rng rng(5);
+  for (int i = 0; i < 3000; ++i) grown.accumulate(rng.uniform(100'000), 1.0);
+  grown.clear();
+  EXPECT_EQ(grown.size(), 0u);
+  grown.drain([](lnkey_t, value_t) { ADD_FAILURE() << "entry after clear"; });
+  simd::SwissAccumulator fresh(16);
+  std::vector<lnkey_t> first_seen;
+  std::map<lnkey_t, value_t> sums;
+  for (int i = 0; i < 200; ++i) {
+    const lnkey_t k = rng.uniform(500);
+    const value_t v = rng.uniform_double(-1.0, 1.0);
+    if (sums.count(k) == 0) first_seen.push_back(k);
+    sums[k] += v;
+    grown.accumulate(k, v);
+    fresh.accumulate(k, v);
+  }
+  EXPECT_GT(grown.num_buckets(), fresh.num_buckets());
+  std::vector<std::pair<lnkey_t, value_t>> a, b;
+  grown.drain([&](lnkey_t k, value_t v) { a.emplace_back(k, v); });
+  fresh.drain([&](lnkey_t k, value_t v) { b.emplace_back(k, v); });
+  EXPECT_EQ(a, b);
+  ASSERT_EQ(a.size(), first_seen.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].first, first_seen[i]);
+    EXPECT_EQ(a[i].second, sums[first_seen[i]]);
+  }
 }
 
 TEST(SwissAccumulator, ClearKeepsCapacity) {
@@ -226,7 +232,7 @@ TEST(SwissAccumulator, ClearKeepsCapacity) {
 
 // --- budget integration ---------------------------------------------
 
-TEST(SwissBudget, SwissContractionChargesAndRespectsBudget) {
+TEST(SwissBudget, ContractionChargesAndRespectsBudget) {
   GeneratorSpec xs;
   xs.dims = {30, 30};
   xs.nnz = 800;
@@ -240,15 +246,14 @@ TEST(SwissBudget, SwissContractionChargesAndRespectsBudget) {
 
   ContractOptions o;
   o.algorithm = Algorithm::kSparta;
-  o.use_swiss_tables = true;
 
   // Generous budget: must succeed and report a nonzero charged HtY.
   o.budget.bytes = std::size_t{1} << 30;
   const ContractResult ok = contract(x, y, {1}, {0}, o);
   EXPECT_GT(ok.stats.hty_bytes, 0u);
 
-  // Tiny budget: the swiss path must trip the same BudgetExceeded gates
-  // as the chained one, not quietly allocate past the cap.
+  // Tiny budget: the swiss tables must trip the BudgetExceeded gates,
+  // not quietly allocate past the cap.
   o.budget.bytes = 1024;
   EXPECT_THROW((void)contract(x, y, {1}, {0}, o), BudgetExceeded);
 }
