@@ -9,7 +9,7 @@
 #include "common/format.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "contraction/einsum.hpp"
+#include "plan/einsum.hpp"
 #include "spgemm/spgemm.hpp"
 #include "tensor/ops.hpp"
 

@@ -60,7 +60,8 @@ void usage(const char* argv0) {
       "  --network      plan-compiler mode: random small tensor networks\n"
       "                 with exact-integer values; every legal\n"
       "                 contraction order (and the planner's searched\n"
-      "                 one) must produce bitwise identical results\n"
+      "                 one, and einsum) must produce bitwise identical\n"
+      "                 results\n"
       "  --repro-dir DIR\n"
       "                 write a repro file (operand dump + findings)\n"
       "                 per failing seed into DIR (created if absent)\n"

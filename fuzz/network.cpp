@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/rng.hpp"
+#include "plan/einsum.hpp"
 #include "plan/executor.hpp"
 #include "plan/planner.hpp"
 #include "serve/service.hpp"
@@ -75,6 +76,19 @@ std::string diff_tensors(const SparseTensor& a, const SparseTensor& b) {
     }
   }
   return {};
+}
+
+/// The network as an einsum spec ("ab,bc->ac"); the generator's labels
+/// are single letters.
+std::string einsum_spec(const plan::ContractionNetwork& net) {
+  std::string spec;
+  for (const plan::NetworkTensor& t : net.inputs) {
+    if (!spec.empty()) spec += ',';
+    for (const std::string& l : t.labels) spec += l;
+  }
+  spec += "->";
+  for (const std::string& l : net.output_labels) spec += l;
+  return spec;
 }
 
 std::string order_string(const plan::NetworkPlan& p) {
@@ -231,6 +245,19 @@ DiffReport run_network_differential(const NetworkCase& c) {
     return rep;
   }
   const SparseTensor ref = sorted_copy(*searched.z);
+
+  // einsum searches the same network with plan_network but runs its
+  // steps with contract() directly, outside the service.
+  ++rep.variants_run;
+  try {
+    const std::string diff =
+        diff_tensors(ref, einsum(einsum_spec(c.net), c.tensors));
+    if (!diff.empty()) {
+      rep.findings.push_back({"einsum", diff + " vs searched order"});
+    }
+  } catch (const std::exception& e) {
+    rep.findings.push_back({"einsum", std::string("failed: ") + e.what()});
+  }
 
   std::vector<plan::NetworkPlan> all =
       plan::enumerate_plans(c.net, inputs);

@@ -7,11 +7,12 @@
 // in each orientation the planner may choose (plan::enumerate_plans:
 // presorted and re-sorted X, permuting and non-permuting roots), plus
 // the planner's own searched order through a private
-// ContractionService. Because every value, product and
-// partial sum stays far below 2^53, floating-point arithmetic is exact
-// and all orders must produce BITWISE identical results — any
-// divergence is a real bug in the planner's step emission (cx/cy/perm
-// bookkeeping), the executor's intermediate plumbing, or the engine.
+// ContractionService, plus einsum() on the same tensors. Because every
+// value, product and partial sum stays far below 2^53, floating-point
+// arithmetic is exact and all orders must produce BITWISE identical
+// results — any divergence is a real bug in the planner's step
+// emission (cx/cy/perm bookkeeping), the executor's intermediate
+// plumbing, einsum's step walk, or the engine.
 // Divergent cases are minimized by greedy non-zero removal before
 // reporting.
 #pragma once
@@ -47,8 +48,9 @@ struct NetworkCase {
 [[nodiscard]] NetworkCase draw_network_case(std::uint64_t seed,
                                             const NetworkLimits& limits = {});
 
-/// Executes every legal order and the planner's searched order;
-/// findings are bitwise divergences (or failed executions). Also checks
+/// Executes every legal order, the planner's searched order and
+/// einsum(); findings are bitwise divergences from the searched order
+/// (or failed executions). Also checks
 /// the searched order is admissible: its estimated cost must not exceed
 /// every enumerated alternative's (the DP must never pick a plan it
 /// itself estimates as the unique worst).

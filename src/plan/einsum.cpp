@@ -1,6 +1,4 @@
-#include "contraction/einsum.hpp"
-
-#include "contraction/einsum_order.hpp"
+#include "plan/einsum.hpp"
 
 #include <algorithm>
 #include <cctype>
@@ -8,6 +6,7 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "plan/planner.hpp"
 #include "tensor/ops.hpp"
 
 namespace sparta {
@@ -114,63 +113,70 @@ Operand outer_product(const Operand& a, const Operand& b) {
   return Operand{std::move(out), a.labels + b.labels};
 }
 
-// Contracts two operands over their shared labels; result labels follow
-// contract()'s output convention (free-X ascending, then free-Y).
-Operand contract_pair(const Operand& a, const Operand& b,
-                      const ContractOptions& opts) {
-  Modes cx, cy;
-  for (std::size_t i = 0; i < a.labels.size(); ++i) {
-    const auto j = b.labels.find(a.labels[i]);
-    if (j != std::string::npos) {
-      cx.push_back(static_cast<int>(i));
-      cy.push_back(static_cast<int>(j));
+// Contracts the connected group `members` (operand indices, ascending,
+// two or more) in the order plan::plan_network searches. The group's
+// once-occurring labels form the network's output: those einsum keeps
+// first, in output order, then those it sums out afterwards.
+Operand contract_group(const std::vector<std::size_t>& members,
+                       const std::vector<const SparseTensor*>& operands,
+                       const ParsedSpec& parsed, const ContractOptions& opts) {
+  plan::ContractionNetwork net;
+  std::vector<plan::BoundInput> bound;
+  std::map<char, int> uses;
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    const SparseTensor& t = *operands[members[k]];
+    plan::NetworkTensor nt;
+    nt.name = "T" + std::to_string(k);
+    for (char c : parsed.inputs[members[k]]) {
+      nt.labels.emplace_back(1, c);
+      ++uses[c];
+    }
+    plan::BoundInput b;
+    b.name = nt.name;
+    b.dims = t.dims();
+    b.nnz = t.nnz();
+    bound.push_back(std::move(b));
+    net.inputs.push_back(std::move(nt));
+  }
+  net.output_name = "Z";
+  for (char c : parsed.output) {
+    if (uses.count(c)) net.output_labels.emplace_back(1, c);
+  }
+  for (const auto& [c, n] : uses) {
+    if (n == 1 && parsed.output.find(c) == std::string::npos) {
+      net.output_labels.emplace_back(1, c);
     }
   }
-  if (cx.empty()) return outer_product(a, b);
+  const plan::NetworkPlan plan = plan::plan_network(net, bound);
 
-  std::string out_labels;
-  for (std::size_t i = 0; i < a.labels.size(); ++i) {
-    if (std::find(cx.begin(), cx.end(), static_cast<int>(i)) == cx.end()) {
-      out_labels.push_back(a.labels[i]);
+  // Node ids follow the planner: members first, then step results. Each
+  // intermediate has one consumer and is freed once it has run.
+  const std::size_t n = members.size();
+  std::vector<SparseTensor> temps(plan.steps.size());
+  auto node = [&](std::size_t id) -> const SparseTensor& {
+    return id < n ? *operands[members[id]] : temps[id - n];
+  };
+  for (std::size_t k = 0; k < plan.steps.size(); ++k) {
+    const plan::PlanStepSpec& s = plan.steps[k];
+    temps[k] = contract_tensor(node(s.x), node(s.y), s.cx, s.cy, opts);
+    for (const std::size_t id : {s.x, s.y}) {
+      if (id >= n) temps[id - n] = SparseTensor();
     }
   }
-  for (std::size_t j = 0; j < b.labels.size(); ++j) {
-    if (std::find(cy.begin(), cy.end(), static_cast<int>(j)) == cy.end()) {
-      out_labels.push_back(b.labels[j]);
-    }
-  }
-  return Operand{contract_tensor(a.tensor, b.tensor, cx, cy, opts),
-                 std::move(out_labels)};
-}
-
-// Greedy cost estimate for contracting i with j: output-size proxy
-// nnz_i · nnz_j / (product of shared dims). Lower is better; pairs with
-// no shared label rank last (outer products explode).
-double pair_cost(const Operand& a, const Operand& b) {
-  double shared = 1.0;
-  bool any = false;
-  for (std::size_t i = 0; i < a.labels.size(); ++i) {
-    const auto j = b.labels.find(a.labels[i]);
-    if (j != std::string::npos) {
-      shared *= static_cast<double>(a.tensor.dim(static_cast<int>(i)));
-      any = true;
-    }
-  }
-  const double size = static_cast<double>(a.tensor.nnz()) *
-                      static_cast<double>(b.tensor.nnz());
-  return any ? size / shared : size * 1e12;
+  Operand out{std::move(temps.back()), {}};
+  for (const std::string& l : plan.steps.back().out_labels) out.labels += l;
+  return out;
 }
 
 }  // namespace
 
 SparseTensor einsum(const std::string& spec,
                     const std::vector<const SparseTensor*>& operands,
-                    const ContractOptions& opts, EinsumOrder order) {
+                    const ContractOptions& opts) {
   SPARTA_CHECK(!operands.empty(), "einsum: need at least one operand");
   const ParsedSpec parsed = parse_spec(spec, operands.size());
 
-  // Bind labels to operands; validate arities and dimension agreement.
-  std::vector<Operand> work;
+  // Validate arities and dimension agreement.
   std::map<char, index_t> label_dim;
   for (std::size_t k = 0; k < operands.size(); ++k) {
     const SparseTensor& t = *operands[k];
@@ -186,45 +192,40 @@ SparseTensor einsum(const std::string& spec,
                    std::string("einsum: label '") + labels[m] +
                        "' has inconsistent sizes");
     }
-    work.push_back(Operand{t, labels});
   }
 
-  if (order == EinsumOrder::kOptimal && work.size() > 2) {
-    // DP-planned contraction tree (einsum_order.hpp).
-    std::vector<PlanOperand> plan_ops;
-    for (const Operand& op : work) {
-      plan_ops.push_back(
-          PlanOperand{op.labels, op.tensor.dims(), op.tensor.nnz()});
-    }
-    const ContractionPlan plan =
-        plan_contraction_order(plan_ops, parsed.output);
-    for (const PlanStep& step : plan.steps) {
-      Operand merged = contract_pair(work[step.i], work[step.j], opts);
-      work.erase(work.begin() + static_cast<std::ptrdiff_t>(step.j));
-      work[step.i] = std::move(merged);
-    }
-  }
-
-  // Greedy pairwise contraction (also finishes any remaining pair).
-  while (work.size() > 1) {
-    std::size_t best_i = 0, best_j = 1;
-    double best = 1e300;
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      for (std::size_t j = i + 1; j < work.size(); ++j) {
-        const double cost = pair_cost(work[i], work[j]);
-        if (cost < best) {
-          best = cost;
-          best_i = i;
-          best_j = j;
+  // Connected groups over shared labels, in order of lowest operand.
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<bool> grouped(operands.size(), false);
+  for (std::size_t k = 0; k < operands.size(); ++k) {
+    if (grouped[k]) continue;
+    grouped[k] = true;
+    std::vector<std::size_t> members{k};
+    for (std::size_t next = 0; next < members.size(); ++next) {
+      const std::string& labels = parsed.inputs[members[next]];
+      for (std::size_t j = k + 1; j < operands.size(); ++j) {
+        if (!grouped[j] &&
+            labels.find_first_of(parsed.inputs[j]) != std::string::npos) {
+          grouped[j] = true;
+          members.push_back(j);
         }
       }
     }
-    Operand merged = contract_pair(work[best_i], work[best_j], opts);
-    work.erase(work.begin() + static_cast<std::ptrdiff_t>(best_j));
-    work[best_i] = std::move(merged);
+    std::sort(members.begin(), members.end());
+    groups.push_back(std::move(members));
   }
 
-  Operand result = std::move(work.front());
+  // Contract each group, then join the groups by outer products.
+  std::vector<Operand> parts;
+  for (const std::vector<std::size_t>& g : groups) {
+    parts.push_back(g.size() == 1
+                        ? Operand{*operands[g[0]], parsed.inputs[g[0]]}
+                        : contract_group(g, operands, parsed, opts));
+  }
+  Operand result = std::move(parts.front());
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    result = outer_product(result, parts[i]);
+  }
 
   // Sum out labels absent from the output (once-occurring but dropped).
   for (std::size_t m = 0; m < result.labels.size();) {
@@ -254,11 +255,11 @@ SparseTensor einsum(const std::string& spec,
 
 SparseTensor einsum(const std::string& spec,
                     const std::vector<SparseTensor>& operands,
-                    const ContractOptions& opts, EinsumOrder order) {
+                    const ContractOptions& opts) {
   std::vector<const SparseTensor*> ptrs;
   ptrs.reserve(operands.size());
   for (const SparseTensor& t : operands) ptrs.push_back(&t);
-  return einsum(spec, ptrs, opts, order);
+  return einsum(spec, ptrs, opts);
 }
 
 }  // namespace sparta

@@ -1,7 +1,7 @@
 // einsum-style multi-tensor contraction on sparse tensors.
 //
 //   einsum("abc,cd->abd", {&x, &y})        — matrix-style contraction
-//   einsum("ab,bc,cd->ad", {&a, &b, &c})   — chain, greedily ordered
+//   einsum("ab,bc,cd->ad", {&a, &b, &c})   — chain, order searched
 //   einsum("abc->ac", {&x})                — sum out modes
 //
 // Subscript grammar (numpy-compatible subset):
@@ -13,9 +13,12 @@
 //   * "->out" is optional: the default output is the once-occurring
 //     labels in alphabetical order (numpy's rule).
 //
-// For three or more operands the pairwise order is chosen greedily by
-// an nnz-based cost estimate — the driver a "long sequence of tensor
-// contractions" (paper §1) needs.
+// The operands split into connected groups over shared labels. Each
+// group of two or more is ordered by plan::plan_network — the same
+// search the network executor uses — and contracted pairwise; the
+// groups' results are then combined by outer products, dropped labels
+// summed out, and the result permuted to the output order. This is the
+// driver a "long sequence of tensor contractions" (paper §1) needs.
 #pragma once
 
 #include <string>
@@ -26,24 +29,16 @@
 
 namespace sparta {
 
-/// How einsum orders pairwise contractions for 3+ operands.
-enum class EinsumOrder : int {
-  kGreedy = 0,   ///< cheapest-next-pair heuristic (default)
-  kOptimal = 1,  ///< DP over operand subsets (einsum_order.hpp), ≤16 ops
-};
-
 /// Contracts `operands` per `spec`. Throws sparta::Error on malformed
 /// specs, arity/dimension mismatches, or unsupported patterns (traces,
 /// labels shared by 3+ operands).
 [[nodiscard]] SparseTensor einsum(
     const std::string& spec, const std::vector<const SparseTensor*>& operands,
-    const ContractOptions& opts = {},
-    EinsumOrder order = EinsumOrder::kGreedy);
+    const ContractOptions& opts = {});
 
 /// Convenience overload for value arguments.
 [[nodiscard]] SparseTensor einsum(const std::string& spec,
                                   const std::vector<SparseTensor>& operands,
-                                  const ContractOptions& opts = {},
-                                  EinsumOrder order = EinsumOrder::kGreedy);
+                                  const ContractOptions& opts = {});
 
 }  // namespace sparta

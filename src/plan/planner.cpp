@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "contraction/estimators.hpp"
 #include "obs/json.hpp"
+#include "simd/swiss_table.hpp"
 
 namespace sparta::plan {
 
@@ -37,12 +38,6 @@ using Layout = std::vector<std::uint8_t>;
     ++n;
   }
   return n;
-}
-
-[[nodiscard]] std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = 64;
-  while (p < n) p <<= 1;
-  return p;
 }
 
 [[nodiscard]] std::size_t coo_bytes(double nnz, int order) {
@@ -237,10 +232,11 @@ StepEst cost_step(const Ctx& ctx, Mask x, Mask y, double nnz_x,
   const int num_free_y = order_y - est.num_contract;
   const double contract_space = label_space(ctx, shared);
 
-  // Eq. 5: HtY footprint for the Y side.
+  // Eq. 5: HtY footprint for the Y side, with the slot count of a swiss
+  // table sized for nnz_Y keys (the engine's pre-flight bucket term).
   const std::size_t rounded_y = round_nnz(nnz_y);
   const std::size_t hty = estimate_hty_bytes(
-      rounded_y, order_y, pow2_at_least(std::max<std::size_t>(rounded_y, 64)));
+      rounded_y, order_y, simd::detail::swiss_slots_for(rounded_y));
   // Eq. 6 upper bound with uniform group sizes: the largest X
   // sub-tensor / HtY group is estimated as nnz over distinct groups.
   const double free_space_x = label_space(ctx, lx & ~shared);
@@ -250,9 +246,11 @@ StepEst cost_step(const Ctx& ctx, Mask x, Mask y, double nnz_x,
       static_cast<std::size_t>(std::ceil(std::max(1.0, nnz_x / groups_x)));
   const auto fmax_y =
       static_cast<std::size_t>(std::ceil(std::max(1.0, nnz_y / groups_y)));
+  // The engine sizes HtA from HtY's largest group (contract()'s Eq. 6
+  // gate uses the same slot count).
   const std::size_t hta = estimate_hta_bytes(
       fmax_x, fmax_y, num_free_y,
-      pow2_at_least(std::max<std::size_t>(fmax_x * fmax_y, 64)));
+      simd::detail::swiss_slots_for(std::max<std::size_t>(fmax_y, 64)));
 
   est.est_out_nnz = round_nnz(nnz_out);
   const int order_out = popcount((lx | ly) & ~shared);

@@ -3,9 +3,9 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "contraction/einsum.hpp"
-#include "contraction/einsum_order.hpp"
 #include "contraction/reference.hpp"
+#include "plan/einsum.hpp"
+#include "plan/planner.hpp"
 #include "tensor/dense_tensor.hpp"
 #include "tensor/generators.hpp"
 #include "tensor/ops.hpp"
@@ -84,6 +84,16 @@ TEST(Einsum, SumsOutDroppedLabels) {
   const SparseTensor z = einsum("abc->ac", {x});
   const SparseTensor ref = reduce_mode(x, 1);
   EXPECT_TRUE(SparseTensor::approx_equal(z, ref, 1e-9));
+
+  // A dropped label at the end of a chain: contracted first, then summed.
+  const SparseTensor a = rand_t({6, 10}, 25, 30);
+  const SparseTensor b = rand_t({10, 8}, 30, 31);
+  const SparseTensor c = rand_t({8, 5}, 20, 32);
+  const SparseTensor zc = einsum("ab,bc,cd->a", {a, b, c});
+  const SparseTensor abc = contract_reference(
+      contract_reference(a, b, {1}, {0}), c, {1}, {0});
+  ASSERT_GT(abc.nnz(), 0u);
+  EXPECT_TRUE(SparseTensor::approx_equal(zc, reduce_mode(abc, 1), 1e-9));
 }
 
 TEST(Einsum, SingleOperandPermutation) {
@@ -115,10 +125,31 @@ TEST(Einsum, OuterProduct) {
     }
   }
   EXPECT_TRUE(SparseTensor::approx_equal(z, expect.to_sparse(), 1e-9));
+
+  // A connected pair and a disconnected operand: the pair is contracted,
+  // then joined to the other by an outer product.
+  const SparseTensor p = rand_t({5, 6}, 12, 33);
+  const SparseTensor q = rand_t({6, 4}, 10, 34);
+  const SparseTensor r = rand_t({3}, 2, 35);
+  const SparseTensor mixed = einsum("ab,bc,d->adc", {p, q, r});
+  const SparseTensor pq = contract_reference(p, q, {1}, {0});
+  ASSERT_GT(pq.nnz(), 0u);
+  SparseTensor ref({5, 3, 4});
+  std::vector<index_t> cpq(2), cr(1);
+  for (std::size_t i = 0; i < pq.nnz(); ++i) {
+    pq.coords(i, cpq);
+    for (std::size_t j = 0; j < r.nnz(); ++j) {
+      r.coords(j, cr);
+      const std::vector<index_t> adc{cpq[0], cr[0], cpq[1]};
+      ref.append(adc, pq.value(i) * r.value(j));
+    }
+  }
+  ref.sort();
+  EXPECT_TRUE(SparseTensor::approx_equal(mixed, ref, 1e-9));
 }
 
-TEST(Einsum, GreedyOrderingHandlesMixedSizes) {
-  // A large×small×small chain where greedy should contract the small
+TEST(Einsum, PlannedOrderHandlesMixedSizes) {
+  // A large×small×small chain where the planner should contract the small
   // pair first; correctness is what we verify.
   const SparseTensor big = rand_t({40, 50}, 900, 20);
   const SparseTensor s1 = rand_t({50, 6}, 40, 21);
@@ -164,74 +195,40 @@ TEST(Einsum, WhitespaceTolerated) {
 }
 
 
-// --- optimal ordering ----------------------------------------------------
-
-TEST(EinsumOrderTest, OptimalMatchesGreedyResults) {
-  const SparseTensor a = rand_t({6, 10}, 25, 40);
-  const SparseTensor b = rand_t({10, 8}, 30, 41);
-  const SparseTensor c = rand_t({8, 5}, 20, 42);
-  const SparseTensor d = rand_t({5, 9}, 22, 43);
-  const SparseTensor greedy =
-      einsum("ab,bc,cd,de->ae", {a, b, c, d}, {}, EinsumOrder::kGreedy);
-  const SparseTensor optimal =
-      einsum("ab,bc,cd,de->ae", {a, b, c, d}, {}, EinsumOrder::kOptimal);
-  EXPECT_TRUE(SparseTensor::approx_equal(greedy, optimal, 1e-9));
-}
-
-TEST(EinsumOrderTest, PlannerAvoidsOuterProducts) {
-  // Operands 0 ("ab") and 1 ("cd") share no label: merging them first
-  // is an outer product with a huge intermediate. The connector
-  // ("bc", operand 2) must participate in the first merge.
-  std::vector<PlanOperand> ops;
-  ops.push_back(PlanOperand{"ab", {500, 500}, 50'000});
-  ops.push_back(PlanOperand{"cd", {500, 500}, 50'000});
-  ops.push_back(PlanOperand{"bc", {500, 500}, 200});
-  const ContractionPlan plan = plan_contraction_order(ops, "ad");
-  ASSERT_EQ(plan.steps.size(), 2u);
-  EXPECT_EQ(plan.steps[0].j, 2u)
-      << "first merge must involve the connector operand";
-  EXPECT_GT(plan.estimated_cost, 0.0);
-}
-
-TEST(EinsumOrderTest, PlannerHandlesSingleAndPair) {
-  std::vector<PlanOperand> one{PlanOperand{"ab", {4, 5}, 10}};
-  EXPECT_TRUE(plan_contraction_order(one, "ab").steps.empty());
-  std::vector<PlanOperand> two{PlanOperand{"ab", {4, 5}, 10},
-                               PlanOperand{"bc", {5, 6}, 12}};
-  const ContractionPlan p = plan_contraction_order(two, "ac");
-  ASSERT_EQ(p.steps.size(), 1u);
-}
-
-TEST(EinsumOrderTest, RejectsTooManyOperands) {
-  std::vector<PlanOperand> ops(17, PlanOperand{"a", {4}, 2});
-  EXPECT_THROW((void)plan_contraction_order(ops, "a"), Error);
-}
-
-
 TEST(Einsum, RandomChainsMatchPairwiseReference) {
   Rng rng(77);
-  for (int trial = 0; trial < 10; ++trial) {
-    // Random chain a-b-c-d with random mode sizes and both orderings.
-    const auto d0 = static_cast<index_t>(3 + rng.uniform(6));
-    const auto d1 = static_cast<index_t>(3 + rng.uniform(6));
-    const auto d2 = static_cast<index_t>(3 + rng.uniform(6));
-    const auto d3 = static_cast<index_t>(3 + rng.uniform(6));
-    const SparseTensor a =
-        rand_t({d0, d1}, 1 + rng.uniform(d0 * d1 / 2),
-               1000 + static_cast<std::uint64_t>(trial) * 3);
-    const SparseTensor b =
-        rand_t({d1, d2}, 1 + rng.uniform(d1 * d2 / 2),
-               2000 + static_cast<std::uint64_t>(trial) * 3);
-    const SparseTensor c =
-        rand_t({d2, d3}, 1 + rng.uniform(d2 * d3 / 2),
-               3000 + static_cast<std::uint64_t>(trial) * 3);
-    const SparseTensor greedy = einsum("ab,bc,cd->ad", {a, b, c});
-    const SparseTensor optimal =
-        einsum("ab,bc,cd->ad", {a, b, c}, {}, EinsumOrder::kOptimal);
-    const SparseTensor ab = contract_reference(a, b, {1}, {0});
-    const SparseTensor ref = contract_reference(ab, c, {1}, {0});
-    EXPECT_TRUE(SparseTensor::approx_equal(greedy, ref, 1e-9)) << trial;
-    EXPECT_TRUE(SparseTensor::approx_equal(optimal, ref, 1e-9)) << trial;
+  // Ten 3-matrix chains, then two long chains with more operands than
+  // plan::kMaxDpOperands, which the planner orders greedily.
+  constexpr std::size_t kLongChain = 18;
+  static_assert(kLongChain > plan::kMaxDpOperands);
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t len = trial < 10 ? 3 : kLongChain;
+    std::vector<index_t> dims;
+    for (std::size_t i = 0; i <= len; ++i) {
+      dims.push_back(static_cast<index_t>(3 + rng.uniform(6)));
+    }
+    std::string spec;
+    std::vector<SparseTensor> ops;
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::uint64_t cells = dims[i] * dims[i + 1];
+      // Long chains need dense links, or the product is empty.
+      const std::size_t nnz = len > 3 ? cells / 2 + rng.uniform(cells / 2)
+                                      : 1 + rng.uniform(cells / 2);
+      ops.push_back(rand_t({dims[i], dims[i + 1]}, nnz,
+                           1000 * (i + 1) + static_cast<std::uint64_t>(trial)));
+      spec += std::string(i ? "," : "") + static_cast<char>('a' + i) +
+              static_cast<char>('a' + i + 1);
+    }
+    spec += std::string("->a") + static_cast<char>('a' + len);
+    SparseTensor ref = ops.front();
+    for (std::size_t i = 1; i < len; ++i) {
+      ref = contract_reference(ref, ops[i], {1}, {0});
+    }
+    if (len > 3) {
+      EXPECT_GT(ref.nnz(), 0u) << trial;
+    }
+    EXPECT_TRUE(SparseTensor::approx_equal(einsum(spec, ops), ref, 1e-9))
+        << spec << " trial " << trial;
   }
 }
 

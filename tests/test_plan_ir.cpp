@@ -115,6 +115,21 @@ TEST(Planner, DpAvoidsTheLeftToRightBlowUp) {
   EXPECT_GT(plan.rejected_alternatives, 0u);
 }
 
+TEST(Planner, AvoidsOuterProducts) {
+  // P and Q share no label: merging them first would be an outer
+  // product with a huge intermediate. The connector R must take part in
+  // the first merge.
+  const ContractionNetwork net =
+      parse_network("Z[a,d] = P[a,b] * Q[c,d] * R[b,c]");
+  const NetworkPlan plan = plan_network(net, {{"P", {500, 500}, 50'000, 1},
+                                              {"Q", {500, 500}, 50'000, 2},
+                                              {"R", {500, 500}, 200, 3}});
+  ASSERT_EQ(plan.steps.size(), 2u);
+  EXPECT_TRUE(plan.steps[0].x_name == "R" || plan.steps[0].y_name == "R")
+      << "first merge must involve the connector operand";
+  EXPECT_GT(plan.est_total_seconds, 0.0);
+}
+
 // The equal-nnz chain: every tree costs the same steps, so layout
 // decides. (P x Q) x R, with P as X, lands in the declared (i,l).
 const char* kEqualChain = "W[i,l] = P[i,j] * Q[j,k] * R[k,l]";
