@@ -1,7 +1,7 @@
 // Ablation: sorting strategy for the input-processing / output-sorting
 // stages — the paper's task-parallel quicksort vs the LN radix sort
 // this reproduction adds (key width is known from the index space), on
-// one thread (the scalar tier) and on the team (sort_ln_pairs_team).
+// one thread (the serial tier) and on the team (sort_ln_pairs_team).
 #include <algorithm>
 #include <cstdio>
 #include <utility>
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
 
         auto w = base;
         t.reset();
-        simd::radix_sort_pairs(w, bits);
+        simd::sort_ln_pairs(w, bits);
         t_radix = std::min(t_radix, t.seconds());
 
         auto u = base;

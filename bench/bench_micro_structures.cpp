@@ -31,7 +31,7 @@ void BM_HtyProbe(benchmark::State& state) {
   const simd::SwissYMap m(
       group_by_key(n, 64, 1, {},
                    [&](std::size_t b, std::size_t e,
-                       std::pair<lnkey_t, std::uint32_t>* pos,
+                       simd::KeyPos* pos,
                        FreeItem* items) {
                      for (std::size_t i = b; i < e; ++i) {
                        pos[i] = {keys[i], static_cast<std::uint32_t>(i)};

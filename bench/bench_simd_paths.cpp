@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
     HtyRuns runs = group_by_key(
         n, 64, 1, {},
         [](std::size_t b, std::size_t e,
-           std::pair<lnkey_t, std::uint32_t>* pos, FreeItem* items) {
+           simd::KeyPos* pos, FreeItem* items) {
           for (std::size_t i = b; i < e; ++i) {
             pos[i] = {2 * i, static_cast<std::uint32_t>(i)};
             items[i] = FreeItem{0, 1.0};

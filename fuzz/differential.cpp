@@ -395,11 +395,14 @@ struct Schedule {
           s += "=budget";
           break;
       }
-      s += "@" + std::to_string(e.spec.fire_on);
-      s += e.spec.times == 0 ? "x*" : "x" + std::to_string(e.spec.times);
+      s += '@';
+      s += std::to_string(e.spec.fire_on);
+      s += 'x';
+      s += e.spec.times == 0 ? "*" : std::to_string(e.spec.times);
     }
     if (budget_bytes != 0) {
-      s += " budget=" + std::to_string(budget_bytes);
+      s += " budget=";
+      s += std::to_string(budget_bytes);
     }
     return s;
   }

@@ -59,10 +59,11 @@ struct Spec {
 inline constexpr const char* kContractSites[] = {
     "contract.input",       // stage ① input processing, and per
                             // 4 096-row block of its key passes
-    "contract.search",      // stage ② inside the parallel region
-    "contract.accumulate",  // stage ③ inside the parallel region
-    "contract.writeback",   // stage ④ inside the parallel region
-    "contract.sort",        // stage ⑤ inside the parallel region
+    "contract.search",      // stage ② inside the parallel region,
+                            // once per chunk of X sub-tensors
+    "contract.accumulate",  // stage ③, once per chunk
+    "contract.writeback",   // stage ④'s per-chunk step
+    "contract.sort",        // stage ⑤, once per chunk
     "plan.build",           // HtY construction (YPlan), and per
                             // 4 096-row block of its key pass
     "budget.charge",        // AllocationRegistry::on_allocate

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
@@ -29,8 +28,6 @@ using engine::HtaPolicy;
 using engine::PerfScope;
 using engine::SpaPolicy;
 using engine::ThreadTimes;
-using engine::ZLocal;
-using engine::ZRun;
 
 Modes free_modes(const SparseTensor& t, const Modes& modes,
                  const char* which) {
@@ -381,7 +378,10 @@ void fill_access_profile(AccessProfile& p, const ContractStats& st,
   }
 
   // ③ accumulation: matched items stream from HtY/Y; the accumulator is
-  // hit randomly once per multiply.
+  // hit randomly once per multiply. Each sub-tensor's entries then
+  // leave the accumulator in one sequential read and are appended to
+  // Z_local (Table 2: Z_local is Seq,WO during accumulation), one
+  // (key, value) pair each.
   {
     const DataObject src =
         in.alg == Algorithm::kSparta ? DataObject::kHtY : DataObject::kY;
@@ -392,41 +392,29 @@ void fill_access_profile(AccessProfile& p, const ContractStats& st,
     a.bytes_written_rand += st.multiplies * kHtaEntryBytes;
     a.rand_reads += st.multiplies;
     a.rand_writes += st.multiplies;
-    // New entries are appended to Z_local as they first appear
-    // (Table 2: Z_local is Seq,WO during accumulation), one (key, value)
-    // pair each.
+    a.bytes_read_seq += st.nnz_z * kHtaEntryBytes;
     auto& zl = p.at(Stage::kAccumulation, DataObject::kZlocal);
     zl.bytes_written_seq += st.nnz_z * kPairBytes;
   }
 
-  // ④ writeback: drain the accumulators (or, after ⑤, their sorted
-  // pair buffers) to Z_local, then decode the pairs into Z's columns in
-  // sub-tensor order.
+  // ④ writeback: the gather reads Z_local's runs in sub-tensor order and
+  // decodes them into Z's columns.
   {
     auto& zl = p.at(Stage::kWriteback, DataObject::kZlocal);
-    if (in.sorted) {
-      zl.bytes_read_seq += st.nnz_z * kPairBytes;
-    } else {
-      auto& a = p.at(Stage::kWriteback, DataObject::kHtA);
-      a.bytes_read_seq += st.nnz_z * kHtaEntryBytes;
-    }
-    zl.bytes_read_seq += st.nnz_z * kPairBytes;  // gather pass
+    zl.bytes_read_seq += st.nnz_z * kPairBytes;
     auto& z = p.at(Stage::kWriteback, DataObject::kZ);
     z.bytes_written_seq += st.nnz_z * in.z_row_bytes;
   }
 
-  // ⑤ output sorting: each sub-tensor's accumulator drains into a
-  // thread-private (key, value) buffer, which is radix-sorted there
-  // (one pass per key byte). The buffers are part of Z_local, in its
-  // footprint as in this traffic. A run is small next to the caches, so
-  // all of it is sequential, and Z itself is not touched.
+  // ⑤ output sorting: each run is radix-sorted in place in Z_local (one
+  // pass per key byte through the thread's scratch buffer, counted with
+  // Z_local). A run is small next to the caches, so all of it is
+  // sequential, and Z itself is not touched.
   if (in.sorted) {
-    auto& a = p.at(Stage::kOutputSorting, DataObject::kHtA);
-    a.bytes_read_seq += st.nnz_z * kHtaEntryBytes;
     const auto passes = static_cast<std::uint64_t>((in.fy_key_bits + 7) / 8);
     auto& zl = p.at(Stage::kOutputSorting, DataObject::kZlocal);
-    zl.bytes_written_seq += st.nnz_z * kPairBytes * (1 + passes);
     zl.bytes_read_seq += st.nnz_z * kPairBytes * passes;
+    zl.bytes_written_seq += st.nnz_z * kPairBytes * passes;
   }
 }
 
@@ -645,11 +633,10 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
   res.stage_times[Stage::kInputProcessing] = t_input.seconds();
 
   // ------------------------------------------------------------------
-  // ②③④⑤ Computation over X sub-tensors
+  // ②③⑤④ Computation over chunks of X sub-tensors
   // ------------------------------------------------------------------
   engine::ZStaging staging;
   std::vector<ThreadTimes> times;
-  std::mutex writeback_mutex;  // shared-writeback ablation only
 
   // Tracked per-thread accumulator charges; inert when reg is null.
   std::vector<ScopedCharge> acc_charges;
@@ -657,91 +644,48 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
   for (int t = 0; t < nthreads; ++t) {
     acc_charges.emplace_back(reg, Tier::kDram, DataObject::kHtA);
   }
+  const int fy_key_bits = simd::significant_bits(fylin.size() - 1);
 
-  // The one stage body: ② search, ③ accumulate, ⑤ sort and ④ drain to
-  // Z_local for one X sub-tensor, generic over the Y-access and
-  // accumulator policies so every variant shares the same timing,
-  // tracing, fault, cancel and counting scaffolding.
+  // The one stage loop, generic over the Y-access and accumulator
+  // policies so every variant shares the same timing, tracing, fault,
+  // cancel and counting scaffolding.
   auto run_stages = [&]<typename YAccess, typename Acc>(const YAccess& ya,
                                                         const Acc& proto) {
-    // Per-thread state, reused across that thread's sub-tensors.
-    struct Worker {
-      Acc acc;
-      std::vector<index_t> ctuple;
-      std::vector<index_t> fyc;
-      std::vector<std::pair<typename YAccess::Match, value_t>> matches;
-    };
-    std::vector<Worker> workers(
+    using H = engine::Hit<typename YAccess::Match>;
+    std::vector<engine::Worker<H, Acc>> workers(
+        static_cast<std::size_t>(nthreads), {proto, {}, {}, {}});
+    // Per-thread tuples: X's contract indices, and Y's free ones (COO).
+    std::vector<std::vector<index_t>> ctuple(
+        static_cast<std::size_t>(nthreads), std::vector<index_t>(m));
+    std::vector<std::vector<index_t>> fyc(
         static_cast<std::size_t>(nthreads),
-        Worker{proto, std::vector<index_t>(m),
-               std::vector<index_t>(std::max<std::size_t>(nfy, 1)), {}});
-    engine::parallel_over_subtensors(
-        ptrf.size() - 1, nfx, nthreads, opts.ablation_shared_writeback,
-        staging, times, reg, opts.cancel,
-        [&](std::size_t tid, std::size_t f, ZLocal& zl, ZRun& run,
-            std::span<index_t> fx, ThreadTimes& tt) {
+        std::vector<index_t>(std::max<std::size_t>(nfy, 1)));
+    engine::run_stages(
+        ptrf.size() - 1, nfx, nthreads, fy_key_bits, opts, reg,
+        &acc_charges, workers, staging, times,
+        [&](std::size_t tid, std::size_t f, std::span<index_t> fx,
+            std::vector<H>& hits, engine::SearchCounts& counts) {
           const std::size_t b = ptrf[f];
           const std::size_t e = ptrf[f + 1];
-          Worker& w = workers[tid];
-          Acc& acc = w.acc;
-          w.matches.clear();
           for (std::size_t k = 0; k < nfx; ++k) {
             fx[k] = px.t.index(b, static_cast<int>(k));
           }
-
-          // One clock read per stage boundary: each stage's closing
-          // read opens the next.
-          Timer clock;
-          obs::Span sp_search("index_search");
-          PerfScope pp_search(sp_search, tt.search_perf);
-          std::uint64_t searches = 0;
-          std::uint64_t hits = 0;
-          std::uint64_t scanned = 0;
-          SPARTA_FAILPOINT("contract.search");
-          opts.cancel.check("contract.search");
+          std::vector<index_t>& ct = ctuple[tid];
           for (std::size_t i = b; i < e; ++i) {
             for (std::size_t k = 0; k < m; ++k) {
-              w.ctuple[k] = px.t.index(i, static_cast<int>(nfx + k));
+              ct[k] = px.t.index(i, static_cast<int>(nfx + k));
             }
-            const auto match = ya.find(w.ctuple, scanned);
-            ++searches;
+            const auto match = ya.find(ct, counts.scanned);
+            ++counts.searches;
             if (!match.empty()) {
-              ++hits;
-              w.matches.emplace_back(match, px.t.value(i));
+              ++counts.hits;
+              hits.push_back({match, px.t.value(i)});
             }
           }
-          pp_search.finish();
-          sp_search.finish();
-          tt.search += clock.lap();
-
-          obs::Span sp_acc("accumulation");
-          PerfScope pp_acc(sp_acc, tt.accumulate_perf);
-          std::uint64_t mults = 0;
-          SPARTA_FAILPOINT("contract.accumulate");
-          opts.cancel.check("contract.accumulate");
-          acc.begin();
-          for (const auto& [match, xval] : w.matches) {
-            ya.accumulate(match, xval, acc, w.fyc);
-            mults += match.size();
-          }
-          // The drain keeps the accumulator's capacity, so this is also
-          // its size after ④.
-          const std::size_t acc_bytes = acc.footprint_bytes();
-          acc_charges[tid].update(acc_bytes);
-          pp_acc.finish();
-          sp_acc.finish();
-          tt.accumulate += clock.lap();
-
-          engine::write_back(acc, opts.sort_output,
-                             opts.ablation_shared_writeback ? &writeback_mutex
-                                                            : nullptr,
-                             zl, run, tt, clock, opts.cancel);
-
-          tt.searches += searches;
-          tt.hits += hits;
-          tt.multiplies += mults;
-          tt.scanned += scanned;
-          tt.acc_peak_bytes = std::max(tt.acc_peak_bytes, acc_bytes);
+        },
+        [&](std::size_t tid, const H& hit, Acc& acc) {
+          ya.accumulate(hit.match, hit.xval, acc, fyc[tid]);
+          return hit.match.size();
         });
   };
 
@@ -765,8 +709,8 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
   const std::uint64_t total_scanned =
       engine::reduce_thread_times(res, times, nthreads);
 
-  // ④ (continued) Gather the runs into Z in sub-tensor order: sorted Z
-  // when each run was sorted (writeback.hpp), with no global sort.
+  // ④ Gather the runs into Z in sub-tensor order: sorted Z when each
+  // run was sorted (writeback.hpp), with no global sort.
   engine::gather_runs(res, std::move(zdims), staging, nthreads, reg,
                       opts.cancel);
 

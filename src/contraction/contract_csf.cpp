@@ -131,42 +131,30 @@ ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
   sp_input.finish();
   res.stage_times[Stage::kInputProcessing] = t_input.seconds();
 
-  // --- ②③⑤④ per sub-tensor, then the ordered gather --------------------
-  struct Match {
-    std::span<const FreeItem> items;
-    value_t xval;
-  };
-  // Per-thread state, reused across that thread's sub-tensors.
-  struct Worker {
-    engine::HtaPolicy acc;
-    std::vector<Match> matches;
-  };
-  std::vector<Worker> workers(
+  // --- ②③⑤④ per chunk of sub-tensors, then the ordered gather -------
+  using H = engine::Hit<std::span<const FreeItem>>;
+  using Acc = engine::HtaPolicy;
+  std::vector<engine::Worker<H, Acc>> workers(
       static_cast<std::size_t>(nthreads),
-      Worker{engine::HtaPolicy(std::max<std::size_t>(plan.max_group(), 64),
-                               plan.fy_indexer()),
-             {}});
+      {Acc(std::max<std::size_t>(plan.max_group(), 64), plan.fy_indexer()),
+       {},
+       {},
+       {}});
   engine::ZStaging staging;
   std::vector<engine::ThreadTimes> times;
 
   const simd::SwissYMap& hty = plan.hty();
-  engine::parallel_over_subtensors(
-      subs.size(), nfx, nthreads, /*shared=*/false, staging, times,
-      /*reg=*/nullptr, opts.cancel,
-      [&](std::size_t tid, std::size_t s, engine::ZLocal& zl,
-          engine::ZRun& run, std::span<index_t> fx,
-          engine::ThreadTimes& tt) {
+  engine::run_stages(
+      subs.size(), nfx, nthreads,
+      simd::significant_bits(plan.fy_indexer().size() - 1), opts,
+      /*reg=*/nullptr, /*acc_charges=*/nullptr, workers, staging, times,
+      // ② index search: walk the contract subtree; the partial LN key
+      // is computed once per internal fiber, not once per leaf.
+      [&](std::size_t /*tid*/, std::size_t s, std::span<index_t> fx,
+          std::vector<H>& hits, engine::SearchCounts& counts) {
         const CsfSubtensor& sub = subs[s];
-        Worker& w = workers[tid];
-        w.matches.clear();
         std::copy(sub.free_coords.begin(), sub.free_coords.end(),
                   fx.begin());
-
-        // ② index search: walk the contract subtree; the partial LN
-        // key is computed once per internal fiber, not once per leaf.
-        // One clock read per stage boundary, as in contract().
-        Timer clock;
-        obs::Span sp_search("index_search");
         std::size_t begin = 0;
         std::size_t end = csf.level_size(0);
         if (nfx > 0) {
@@ -176,32 +164,19 @@ ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
         }
         walk_contract(csf, nfx, strides, nfx, begin, end, 0,
                       [&](lnkey_t key, value_t xval) {
-                        ++tt.searches;
+                        ++counts.searches;
                         const auto items = hty.find(key);
                         if (!items.empty()) {
-                          ++tt.hits;
-                          w.matches.push_back(Match{items, xval});
+                          ++counts.hits;
+                          hits.push_back({items, xval});
                         }
                       });
-        sp_search.finish();
-        tt.search += clock.lap();
-
-        // ③ accumulation.
-        obs::Span sp_acc("accumulation");
-        w.acc.begin();
-        for (const Match& mt : w.matches) {
-          for (const FreeItem& it : mt.items) {
-            w.acc.add(it.free_key, mt.xval * it.val);
-          }
-          tt.multiplies += mt.items.size();
+      },
+      [](std::size_t /*tid*/, const H& hit, Acc& acc) {
+        for (const FreeItem& it : hit.match) {
+          acc.add(it.free_key, hit.xval * it.val);
         }
-        sp_acc.finish();
-        tt.accumulate += clock.lap();
-
-        engine::write_back(w.acc, opts.sort_output, nullptr, zl, run, tt,
-                           clock, opts.cancel);
-        tt.acc_peak_bytes =
-            std::max(tt.acc_peak_bytes, w.acc.footprint_bytes());
+        return hit.match.size();
       });
   engine::reduce_thread_times(res, times, nthreads);
   engine::gather_runs(res, std::move(zdims), staging, nthreads,

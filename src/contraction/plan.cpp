@@ -52,7 +52,7 @@ simd::SwissYMap build_hty(const SparseTensor& y, const Modes& cy,
   HtyRuns runs = group_by_key(
       n, std::bit_width(clin.size() - 1), num_threads, cancel,
       [&](std::size_t b, std::size_t e,
-          std::pair<lnkey_t, std::uint32_t>* keys, FreeItem* items) {
+          simd::KeyPos* keys, FreeItem* items) {
         for (std::size_t i = b; i < e; ++i) {
           lnkey_t ckey = 0;
           for (const auto& [col, stride] : cterms) ckey += stride * col[i];

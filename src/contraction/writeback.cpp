@@ -25,7 +25,7 @@ std::uint64_t reduce_thread_times(ContractResult& res,
   double search_s = 0, accumulate_s = 0, writeback_s = 0, sort_s = 0;
   std::uint64_t scanned = 0;
   std::size_t acc_peak_bytes = 0;
-  std::size_t sort_buffer_bytes = 0;
+  std::size_t sort_scratch_bytes = 0;
   for (const ThreadTimes& tt : times) {
     search_s += tt.search;
     accumulate_s += tt.accumulate;
@@ -40,7 +40,7 @@ std::uint64_t reduce_thread_times(ContractResult& res,
     res.stats.multiplies += tt.multiplies;
     scanned += tt.scanned;
     acc_peak_bytes = std::max(acc_peak_bytes, tt.acc_peak_bytes);
-    sort_buffer_bytes += tt.sort_buffer_bytes;
+    sort_scratch_bytes += tt.sort_scratch_bytes;
   }
   const auto nt = static_cast<double>(nthreads);
   res.stage_times[Stage::kIndexSearch] = search_s / nt;
@@ -48,7 +48,7 @@ std::uint64_t reduce_thread_times(ContractResult& res,
   res.stage_times[Stage::kWriteback] = writeback_s / nt;
   res.stage_times[Stage::kOutputSorting] = sort_s / nt;
   res.stats.hta_bytes = acc_peak_bytes * static_cast<std::size_t>(nthreads);
-  res.stats.zlocal_bytes = sort_buffer_bytes;
+  res.stats.zlocal_bytes = sort_scratch_bytes;
   return scanned;
 }
 

@@ -110,7 +110,7 @@ class GroupedHashMap {
   /// Bucket b holds entries_[offsets_[b], offsets_[b + 1]).
   std::vector<std::uint32_t> offsets_;
   std::vector<KeyRun> entries_;
-  std::vector<FreeItem> items_;
+  UninitVector<FreeItem> items_;
   std::size_t max_group_;
 };
 

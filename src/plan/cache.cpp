@@ -11,9 +11,11 @@ std::string NetworkPlanCache::key(const ContractionNetwork& net,
                                   const PlanOptions& opts) {
   std::string k = net.canonical();
   for (const BoundInput& b : inputs) {
-    k += "|" + std::to_string(b.registry_id);
+    k += '|';
+    k += std::to_string(b.registry_id);
   }
-  k += "|budget=" + std::to_string(opts.budget_bytes);
+  k += "|budget=";
+  k += std::to_string(opts.budget_bytes);
   k += "|model=";
   if (opts.model != nullptr) k += opts.model->id();
   return k;

@@ -88,6 +88,9 @@ ParsedSpec parse_spec(const std::string& spec, std::size_t num_operands) {
                        "' cannot appear in the output");
     }
   }
+  SPARTA_CHECK(!p.output.empty(),
+               "einsum: the output names no label (a scalar result is "
+               "not supported)");
   return p;
 }
 
@@ -230,8 +233,6 @@ SparseTensor einsum(const std::string& spec,
   // Sum out labels absent from the output (once-occurring but dropped).
   for (std::size_t m = 0; m < result.labels.size();) {
     if (parsed.output.find(result.labels[m]) == std::string::npos) {
-      SPARTA_CHECK(result.tensor.order() > 1,
-                   "einsum: cannot reduce a tensor to a scalar");
       result.tensor = reduce_mode(result.tensor, static_cast<int>(m));
       result.labels.erase(m, 1);
     } else {

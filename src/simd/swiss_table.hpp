@@ -34,6 +34,7 @@
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/parallel.hpp"
+#include "common/uninit_vector.hpp"
 #include "obs/metrics.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/sort.hpp"
@@ -66,7 +67,7 @@ struct KeyRun {
 /// contiguous run, in input order; `runs` ascend by key, one per key.
 /// SwissYMap is built from this (group_by_key makes it).
 struct HtyRuns {
-  std::vector<FreeItem> items;
+  UninitVector<FreeItem> items;
   std::vector<KeyRun> runs;
   std::size_t max_run = 0;  ///< largest run: the paper's nnz_Fmax^Y
 };
@@ -74,6 +75,8 @@ struct HtyRuns {
 /// HtY's bulk build (paper §3.3 stage ①, sort-based) over `n` Y
 /// non-zeros. fill(b, e, keys, items) writes, for each i in [b, e),
 /// keys[i] = (a contract key, i) and items[i] = that non-zero's item.
+/// Neither array, nor the gathered items, is zero-filled first: the
+/// team's fill and gather passes touch them first.
 /// The pairs are stably sorted by key, and items[position] is gathered
 /// into one contiguous run per distinct key, in input order, so the
 /// result is the same at any thread count. One
@@ -91,8 +94,8 @@ template <typename Fill>
                                    const CancelToken& cancel, Fill&& fill) {
   SPARTA_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
                "HtY holds at most 2^32 - 1 items, got " + std::to_string(n));
-  std::vector<std::pair<lnkey_t, std::uint32_t>> keys(n);
-  std::vector<FreeItem> items(n);
+  UninitVector<simd::KeyPos> keys(n);
+  UninitVector<FreeItem> items(n);
   // Range d of the sort: [range_begin[d], range_end[d]), and how many
   // pairs after its first start a run.
   std::array<std::size_t, 256> range_begin{};
@@ -138,7 +141,7 @@ template <typename Fill>
   }
   // Freed before the runs are joined. (`items = {}` would keep the
   // capacity: it assigns from an empty initializer_list.)
-  items = std::vector<FreeItem>();
+  items = UninitVector<FreeItem>();
 
   std::size_t total = 0;
   for (std::size_t d = 0; d < 256; ++d) total += range_starts[d] + 1;
@@ -285,7 +288,7 @@ class SwissYMap {
         max_group_(runs.max_run) {
     const std::size_t slots = num_groups() * kGroupWidth;
     ctrl_.assign(slots, kCtrlEmpty);
-    slots_.resize(slots);
+    slots_.resize(slots);  // unwritten: an empty slot is never read
     const SimdIsa isa = active_isa();
     for (const KeyRun& r : runs.runs) {
       // Keys are distinct, so a new key takes the first empty slot of
@@ -374,8 +377,8 @@ class SwissYMap {
   int group_bits_;
   std::size_t size_ = 0;
   std::vector<std::uint8_t> ctrl_;
-  std::vector<KeyRun> slots_;
-  std::vector<FreeItem> items_;
+  UninitVector<KeyRun> slots_;
+  UninitVector<FreeItem> items_;
   std::size_t max_group_;
 };
 

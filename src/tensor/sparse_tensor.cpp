@@ -265,7 +265,8 @@ SortedCopy sorted_permuted_copy(const SparseTensor& t, const Modes& order,
   }
 
   const int team = team_size(n, num_threads);
-  std::vector<std::pair<lnkey_t, std::uint32_t>> keys(n);
+  // The pairs are not zero-filled: the team's key pass writes them first.
+  UninitVector<simd::KeyPos> keys(n);
   std::vector<std::vector<index_t>> cols(nmodes, std::vector<index_t>(n));
   std::vector<value_t> vals(n);
   // Range d of the sort: its first row, and how many rows after it

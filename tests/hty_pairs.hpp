@@ -16,7 +16,7 @@ inline HtyRuns group_pairs(
   return group_by_key(
       pairs.size(), 64, 1, {},
       [&](std::size_t b, std::size_t e,
-          std::pair<lnkey_t, std::uint32_t>* keys, FreeItem* items) {
+          simd::KeyPos* keys, FreeItem* items) {
         for (std::size_t i = b; i < e; ++i) {
           keys[i] = {pairs[i].first, static_cast<std::uint32_t>(i)};
           items[i] = pairs[i].second;

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/failpoint.hpp"
+#include "common/parallel.hpp"
 #include "contraction/contract.hpp"
 #include "contraction/contract_csf.hpp"
 #include "contraction/plan.hpp"
@@ -349,23 +352,34 @@ TEST(Contract, RejectsOverflowingFreeKeySpaceAtPlanTime) {
 
 // --- Sorted writeback ------------------------------------------------
 //
-// Stage ⑤ sorts each X sub-tensor's run and the gather lays the runs
-// out in sub-tensor order. The result must be exactly the global sort
-// of the unsorted output, for every engine configuration.
+// Stage ③ appends each X sub-tensor's run to Z_local, ⑤ sorts it in
+// place, and the gather lays the runs out in sub-tensor order. The
+// result must be exactly the global sort of the unsorted output, for
+// every engine configuration and thread count.
+
+// How the engine reaches Y.
+enum class Path {
+  kDirect,  // contract(x, y)
+  kPlan,    // contract(x, plan) through a YPlan
+  kCsf,     // contract_csf() through a YPlan
+};
 
 struct Engine {
   const char* name;
   Algorithm algorithm;
-  bool csf;  // contract_csf() through a YPlan
+  Path path;
 };
 
 constexpr Engine kEngines[] = {
-    {"spa", Algorithm::kSpa, false},
-    {"coohta", Algorithm::kCooHta, false},
-    {"sparta", Algorithm::kSparta, false},
-    {"coobinary", Algorithm::kCooBinary, false},
-    {"csf", Algorithm::kSparta, true},
+    {"spa", Algorithm::kSpa, Path::kDirect},
+    {"coohta", Algorithm::kCooHta, Path::kDirect},
+    {"sparta", Algorithm::kSparta, Path::kDirect},
+    {"coobinary", Algorithm::kCooBinary, Path::kDirect},
+    {"plan", Algorithm::kSparta, Path::kPlan},
+    {"csf", Algorithm::kSparta, Path::kCsf},
 };
+
+constexpr int kThreadCounts[] = {1, 2, 4};
 
 struct Shape {
   std::string name;
@@ -432,11 +446,10 @@ ContractResult run_engine(const Engine& e, const Shape& s, int threads,
   o.num_threads = threads;
   o.sort_output = sorted;
   o.ablation_shared_writeback = shared_writeback;
-  if (e.csf) {
-    const YPlan plan(s.y, s.cy, /*num_threads=*/1);
-    return contract_csf(s.x, plan, s.cx, o);
-  }
-  return contract(s.x, s.y, s.cx, s.cy, o);
+  if (e.path == Path::kDirect) return contract(s.x, s.y, s.cx, s.cy, o);
+  const YPlan plan(s.y, s.cy, /*num_threads=*/1);
+  return e.path == Path::kPlan ? contract(s.x, plan, s.cx, o)
+                               : contract_csf(s.x, plan, s.cx, o);
 }
 
 // Dims, every index and every value's bits.
@@ -467,7 +480,7 @@ TEST_P(SortedWriteback, EqualsGlobalSortOfUnsortedOutput) {
   const Engine& e = GetParam();
   for (const Shape& s : writeback_shapes()) {
     const SparseTensor ref = contract_reference(s.x, s.y, s.cx, s.cy);
-    for (const int threads : {1, 4}) {
+    for (const int threads : kThreadCounts) {
       SCOPED_TRACE(s.name + " at " + std::to_string(threads) + " threads");
       const ContractResult sorted = run_engine(e, s, threads, true);
       ContractResult unsorted = run_engine(e, s, threads, false);
@@ -484,19 +497,71 @@ TEST_P(SortedWriteback, UnsortedOutputIsThreadCountIndependent) {
   const Engine& e = GetParam();
   for (const Shape& s : writeback_shapes()) {
     SCOPED_TRACE(s.name);
-    EXPECT_TRUE(bitwise_equal(run_engine(e, s, 1, false).z,
-                              run_engine(e, s, 4, false).z));
+    const SparseTensor one = run_engine(e, s, 1, false).z;
+    for (const int threads : {2, 4}) {
+      EXPECT_TRUE(bitwise_equal(one, run_engine(e, s, threads, false).z))
+          << threads << " threads";
+    }
   }
 }
 
+// The shared-writeback ablation appends every thread's chunks to one
+// buffer under a lock; sorted or not, Z is bitwise the same.
 TEST_P(SortedWriteback, SharedWritebackAblationMatches) {
   const Engine& e = GetParam();
-  if (e.csf) GTEST_SKIP() << "contract_csf has no shared-writeback mode";
   for (const Shape& s : writeback_shapes()) {
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE(s.name + " at " + std::to_string(threads) + " threads");
-      EXPECT_TRUE(bitwise_equal(run_engine(e, s, threads, true, true).z,
-                                run_engine(e, s, threads, true).z));
+    for (const int threads : kThreadCounts) {
+      for (const bool sorted : {true, false}) {
+        SCOPED_TRACE(s.name + " at " + std::to_string(threads) +
+                     " threads, " + (sorted ? "sorted" : "unsorted"));
+        EXPECT_TRUE(
+            bitwise_equal(run_engine(e, s, threads, sorted, true).z,
+                          run_engine(e, s, threads, sorted).z));
+      }
+    }
+  }
+}
+
+// Each stage's failpoint fires once per scheduled chunk of sub-tensors,
+// ⌈num_sub / subtensor_chunk⌉ times, on inputs whose chunk is 1 and 16.
+TEST_P(SortedWriteback, StageSitesFireOncePerChunk) {
+  const Engine& e = GetParam();
+  constexpr const char* kSites[] = {"contract.search", "contract.accumulate",
+                                    "contract.sort", "contract.writeback"};
+  struct Case {
+    Shape shape;
+    int threads;
+    std::ptrdiff_t chunk;
+  };
+  std::vector<Case> cases;
+  // 40 sub-tensors: far fewer than 64 per thread, so chunks of one.
+  cases.push_back({{"chunk1", random_tensor({40, 30}, 300, 31),
+                    random_tensor({30, 50}, 400, 32), {1}, {0}},
+                   2,
+                   1});
+  // Thousands of sub-tensors on one thread: chunks of 16.
+  cases.push_back({{"chunk16", random_tensor({3000, 20}, 6000, 33),
+                    random_tensor({20, 50}, 400, 34), {1}, {0}},
+                   1,
+                   16});
+  for (const Case& c : cases) {
+    for (const bool sorted : {true, false}) {
+      SCOPED_TRACE(c.shape.name + (sorted ? " sorted" : " unsorted"));
+      for (const char* site : kSites) {
+        failpoint::arm(site, {failpoint::Action::kError,
+                              std::numeric_limits<std::uint64_t>::max(), 1});
+      }
+      const ContractResult r = run_engine(e, c.shape, c.threads, sorted);
+      const auto num_sub =
+          static_cast<std::ptrdiff_t>(r.stats.num_x_subtensors);
+      ASSERT_EQ(subtensor_chunk(num_sub, c.threads), c.chunk);
+      const auto chunks =
+          static_cast<std::uint64_t>((num_sub + c.chunk - 1) / c.chunk);
+      for (const char* site : kSites) {
+        const bool runs = sorted || std::string(site) != "contract.sort";
+        EXPECT_EQ(failpoint::hit_count(site), runs ? chunks : 0u) << site;
+      }
+      failpoint::disarm_all();
     }
   }
 }

@@ -180,6 +180,30 @@ TEST(Einsum, RejectsMalformedSpecs) {
   EXPECT_THROW((void)einsum("ij,jk,jl->ikl", {a, b, c}), Error);
 }
 
+// A scalar result, explicit or implicit, is rejected by the spec parser
+// with one message, whichever operands would reach the engine.
+TEST(Einsum, RejectsScalarOutputUpFront) {
+  const SparseTensor a = rand_t({4, 5}, 8, 40);
+  const SparseTensor b = rand_t({5, 6}, 8, 41);
+  const SparseTensor c = rand_t({6, 4}, 8, 42);
+  const std::vector<std::pair<std::string, std::vector<SparseTensor>>>
+      cases = {{"ab,ab->", {a, a}},
+               {"ab,bc,ca->", {a, b, c}},
+               {"ab,bc->", {a, b}},
+               {"ab,ab", {a, a}}};
+  for (const auto& [spec, ops] : cases) {
+    try {
+      (void)einsum(spec, ops);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "einsum: the output names no label"),
+                std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+}
+
 TEST(Einsum, RejectsInconsistentDims) {
   const SparseTensor a = rand_t({4, 5}, 5, 26);
   const SparseTensor b = rand_t({6, 4}, 5, 27);

@@ -129,7 +129,7 @@ TEST(GroupedHashMap, FootprintGrowsWithContent) {
 TEST(GroupByKey, SameRunsAtOneAndFourThreads) {
   const std::size_t n = 100'000;
   Rng rng(17);
-  std::vector<std::pair<lnkey_t, std::uint32_t>> keys(n);
+  std::vector<simd::KeyPos> keys(n);
   std::vector<FreeItem> items(n);
   for (std::size_t i = 0; i < n; ++i) {
     keys[i] = {rng.uniform(3000), static_cast<std::uint32_t>(i)};
@@ -142,7 +142,7 @@ TEST(GroupByKey, SameRunsAtOneAndFourThreads) {
                      return keys[a].first < keys[b].first;
                    });
   auto fill = [&](std::size_t b, std::size_t e,
-                  std::pair<lnkey_t, std::uint32_t>* k, FreeItem* it) {
+                  simd::KeyPos* k, FreeItem* it) {
     std::copy(keys.begin() + b, keys.begin() + e, k + b);
     std::copy(items.begin() + b, items.begin() + e, it + b);
   };

@@ -220,19 +220,34 @@ TEST(ProfileIntegration, ContractionFillsProfile) {
   EXPECT_TRUE(hta_s3.reads());
   EXPECT_TRUE(hta_s3.writes());
   EXPECT_TRUE(hta_s3.random());
-  // Z_local is written sequentially during accumulation (Table 2) and
-  // read back during writeback.
-  EXPECT_TRUE(p.at(Stage::kAccumulation, DataObject::kZlocal).writes());
-  EXPECT_TRUE(p.at(Stage::kWriteback, DataObject::kZlocal).reads());
-  EXPECT_FALSE(p.at(Stage::kWriteback, DataObject::kZlocal).writes());
-  // Output sorting sorts each sub-tensor's pairs in a thread-private
-  // buffer: sequential Z_local traffic, and Z is not touched.
+  // Each sub-tensor's entries leave HtA in one sequential read at the
+  // end of accumulation and are appended to Z_local there, sequential
+  // and write-only (Table 2), one 16-byte (key, value) pair each.
+  const std::uint64_t nz = r.stats.nnz_z;
+  EXPECT_EQ(hta_s3.bytes_read_seq, nz * 24);
+  const AccessStats& zl_s3 = p.at(Stage::kAccumulation, DataObject::kZlocal);
+  EXPECT_EQ(zl_s3.bytes_written_seq, nz * 16);
+  EXPECT_FALSE(zl_s3.reads());
+  EXPECT_FALSE(zl_s3.random());
+  // Output sorting sorts each run in place in Z_local: sequential
+  // traffic, one read and one write per radix pass of the free keys
+  // (one: the Y free mode has 20 values), and neither HtA nor Z is
+  // touched.
   const AccessStats& zl_s5 = p.at(Stage::kOutputSorting, DataObject::kZlocal);
-  EXPECT_TRUE(zl_s5.reads());
-  EXPECT_TRUE(zl_s5.writes());
+  EXPECT_EQ(zl_s5.bytes_read_seq, nz * 16);
+  EXPECT_EQ(zl_s5.bytes_written_seq, nz * 16);
   EXPECT_FALSE(zl_s5.random());
+  EXPECT_FALSE(p.at(Stage::kOutputSorting, DataObject::kHtA).reads());
   EXPECT_FALSE(p.at(Stage::kOutputSorting, DataObject::kZ).reads());
   EXPECT_FALSE(p.at(Stage::kOutputSorting, DataObject::kZ).writes());
+  // Writeback is the gather alone: Z_local read once, Z written once,
+  // HtA untouched.
+  const AccessStats& zl_s4 = p.at(Stage::kWriteback, DataObject::kZlocal);
+  EXPECT_EQ(zl_s4.bytes_read_seq, nz * 16);
+  EXPECT_FALSE(zl_s4.writes());
+  EXPECT_FALSE(p.at(Stage::kWriteback, DataObject::kHtA).reads());
+  EXPECT_TRUE(p.at(Stage::kWriteback, DataObject::kZ).writes());
+  EXPECT_FALSE(p.at(Stage::kWriteback, DataObject::kZ).reads());
   // Footprints are populated.
   EXPECT_GT(p.footprint(DataObject::kHtY), 0u);
   EXPECT_GT(p.footprint(DataObject::kZ), 0u);

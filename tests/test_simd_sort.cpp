@@ -1,12 +1,13 @@
 // Unit tests for the LSD radix sort (simd/sort.hpp): agreement with
-// std::stable_sort (including stability on duplicate keys), equivalence
-// of the scalar, vector and team tiers, and the tensor sort/coalesce
-// paths built on top of it.
+// std::stable_sort (including stability on duplicate keys), runs sorted
+// in place within a larger buffer, equivalence of the serial and team
+// tiers, and the tensor sort/coalesce paths built on top of it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -55,19 +56,43 @@ TEST(SimdSort, MatchesStableSortAcrossSizesAndKeyWidths) {
   }
 }
 
-TEST(SimdSort, ScalarAndNativeTiersProduceIdenticalPermutations) {
-  for (const std::size_t n : {31ul, 1000ul, 20000ul}) {
-    std::vector<Item> scalar_items = random_items(n, 20, 7);
-    std::vector<Item> native_items = scalar_items;
-    {
-      simd::ScopedIsaOverride force(simd::SimdIsa::kScalar);
-      simd::sort_ln_pairs(scalar_items, 20);
-    }
-    {
-      simd::ScopedIsaOverride force(simd::detect_native_isa());
-      simd::sort_ln_pairs(native_items, 20);
-    }
-    EXPECT_EQ(scalar_items, native_items) << "n=" << n;
+// Stage ⑤'s use: consecutive runs of one buffer, each sorted in place
+// through the pointer entry point with one reused scratch buffer, equal
+// run by run to a stable sort and untouched outside the run.
+TEST(SimdSort, RunsSortInPlaceWithReusedScratch) {
+  std::vector<Item> buffer = random_items(6000, 20, 11);
+  std::vector<Item> expected = buffer;
+  UninitVector<Item> scratch;
+  std::size_t at = 0;
+  for (const std::size_t len : {0ul, 1ul, 31ul, 32ul, 900ul, 40ul, 5000ul}) {
+    const std::size_t n = std::min(len, buffer.size() - at);
+    std::stable_sort(
+        expected.begin() + static_cast<std::ptrdiff_t>(at),
+        expected.begin() + static_cast<std::ptrdiff_t>(at + n),
+        [](const Item& a, const Item& b) { return a.first < b.first; });
+    simd::sort_ln_pairs(buffer.data() + at, n, 20, {}, scratch);
+    at += n;
+  }
+  EXPECT_EQ(buffer, expected);
+  EXPECT_GE(scratch.size(), 900u);
+}
+
+// simd::LnPair sorts like std::pair, and a buffer of them is left
+// unwritten by resize().
+TEST(SimdSort, LnPairsSortLikeStdPairs) {
+  const std::vector<Item> items = random_items(3000, 24, 12);
+  std::vector<Item> expected = items;
+  simd::sort_ln_pairs(expected, 24);
+  static_assert(std::is_trivially_default_constructible_v<simd::KeyPos>);
+  UninitVector<simd::KeyPos> pairs;
+  pairs.resize(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    pairs[i] = {items[i].first, items[i].second};
+  }
+  simd::sort_ln_pairs(pairs, 24);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    ASSERT_EQ(pairs[i].first, expected[i].first) << i;
+    ASSERT_EQ(pairs[i].second, expected[i].second) << i;
   }
 }
 
@@ -148,27 +173,22 @@ std::vector<Item> keyed_items(std::size_t n, int key_bits,
   return items;
 }
 
-// The team sort is stable, so it equals the serial tiers bit for bit,
+// The team sort is stable, so it equals the serial tier bit for bit,
 // whatever the team size and the chunk boundaries it implies.
 TEST(SimdSortTeam, MatchesSerialTierBitForBit) {
-  for (const simd::SimdIsa isa :
-       {simd::SimdIsa::kScalar, simd::detect_native_isa()}) {
-    simd::ScopedIsaOverride force(isa);
-    for (const std::size_t n :
-         {0ul, 1ul, 31ul, 32ul, 33ul, 4097ul, 100'000ul}) {
-      for (const int key_bits : {1, 13, 27, 38, 64}) {
-        for (const std::uint64_t distinct : {0ul, 3ul}) {
-          const std::vector<Item> base =
-              keyed_items(n, key_bits, distinct, 7 * n + key_bits);
-          std::vector<Item> serial = base;
-          simd::sort_ln_pairs(serial, key_bits);
-          for (int team = 1; team <= 4; ++team) {
-            std::vector<Item> got = base;
-            simd::sort_ln_pairs_team(got, key_bits, team);
-            EXPECT_EQ(got, serial)
-                << "n=" << n << " key_bits=" << key_bits
-                << " distinct=" << distinct << " team=" << team;
-          }
+  for (const std::size_t n : {0ul, 1ul, 31ul, 32ul, 33ul, 4097ul, 100'000ul}) {
+    for (const int key_bits : {1, 13, 27, 38, 64}) {
+      for (const std::uint64_t distinct : {0ul, 3ul}) {
+        const std::vector<Item> base =
+            keyed_items(n, key_bits, distinct, 7 * n + key_bits);
+        std::vector<Item> serial = base;
+        simd::sort_ln_pairs(serial, key_bits);
+        for (int team = 1; team <= 4; ++team) {
+          std::vector<Item> got = base;
+          simd::sort_ln_pairs_team(got, key_bits, team);
+          EXPECT_EQ(got, serial) << "n=" << n << " key_bits=" << key_bits
+                                 << " distinct=" << distinct
+                                 << " team=" << team;
         }
       }
     }
@@ -255,7 +275,7 @@ TEST(SimdSortTeam, CancelUnwinds) {
   }
 }
 
-// --- the scalar tier ---------------------------------------------------
+// --- the serial tier ---------------------------------------------------
 
 TEST(RadixSort, MatchesStdSort) {
   Rng rng(21);
@@ -269,7 +289,7 @@ TEST(RadixSort, MatchesStdSort) {
                      [](const auto& a, const auto& b) {
                        return a.first < b.first;
                      });
-    simd::radix_sort_pairs(v, bits);
+    simd::sort_ln_pairs(v, bits);
     EXPECT_EQ(v, expect) << bits << " bits";
   }
 }
@@ -280,7 +300,7 @@ TEST(RadixSort, IsStable) {
   for (int i = 0; i < 100; ++i) {
     v.emplace_back(static_cast<std::uint64_t>(i % 3), i);
   }
-  simd::radix_sort_pairs(v, 8);
+  simd::sort_ln_pairs(v, 8);
   for (std::size_t i = 1; i < v.size(); ++i) {
     if (v[i - 1].first == v[i].first) {
       EXPECT_LT(v[i - 1].second, v[i].second);
@@ -290,13 +310,13 @@ TEST(RadixSort, IsStable) {
 
 TEST(RadixSort, EdgeCases) {
   std::vector<std::pair<std::uint64_t, int>> empty;
-  simd::radix_sort_pairs(empty);
+  simd::sort_ln_pairs(empty);
   std::vector<std::pair<std::uint64_t, int>> one{{5, 0}};
-  simd::radix_sort_pairs(one);
+  simd::sort_ln_pairs(one);
   EXPECT_EQ(one[0].first, 5u);
   // All-equal keys: every pass is trivial and skipped.
   std::vector<std::pair<std::uint64_t, int>> same(1000, {7, 1});
-  simd::radix_sort_pairs(same);
+  simd::sort_ln_pairs(same);
   EXPECT_EQ(same.front().first, 7u);
 }
 
